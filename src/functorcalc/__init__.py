@@ -9,7 +9,8 @@ independent second computation path in the test suite.
 
 Layers, bottom up:
 
-* ``partitions``  integer partitions, set partitions, the refinement poset
+* ``partitions``  integer partitions, set partitions, the refinement poset,
+                  the shared cycle-index kernel ``class_sum``
 * ``exactpoly``   Laurent polynomials over the rationals (graded dimensions)
 * ``characters``  symmetric-group class functions graded by degree
 * ``symfun``      the characteristic map to symmetric functions; plethysm

@@ -17,9 +17,7 @@ from functools import lru_cache
 from .exactpoly import TPoly
 from .partitions import (
     Partition,
-    block_structure,
     centralizer_order,
-    concat,
     partitions_of,
     sub_multisets,
     weight,
@@ -188,10 +186,6 @@ class GradedCharacter:
 
     def invariants_poly(self) -> TPoly:
         return self.inner(GradedCharacter.trivial(self.n))
-
-    def value_on_parts(self, *parts_lists: Partition) -> TPoly:
-        """Restriction to a product of smaller symmetric groups: trace at a block permutation."""
-        return self.values[concat((), tuple(p for ps in parts_lists for p in ps))]
 
     def __repr__(self) -> str:
         return f"GradedCharacter(n={self.n}, values={self.values!r})"

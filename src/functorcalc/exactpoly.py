@@ -117,10 +117,6 @@ class TPoly:
         res.c = {m * d: v for d, v in self.c.items()}
         return res
 
-    def at_one(self) -> Scalar:
-        """Sum of coefficients: total dimension of a graded space."""
-        return sum(self.c.values())
-
     def coeff(self, degree: int) -> Scalar:
         return self.c.get(degree, 0)
 
@@ -129,9 +125,6 @@ class TPoly:
 
     def is_nonneg_integral(self) -> bool:
         return all(v >= 1 and (isinstance(v, int) or v.denominator == 1) for v in self.c.values())
-
-    def map_coeffs(self, f) -> "TPoly":
-        return TPoly({d: f(v) for d, v in self.c.items()})
 
     def __repr__(self) -> str:
         if not self.c:
@@ -177,10 +170,6 @@ class MaskPoly:
     def from_tpoly(cls, tp: TPoly, mask: int = 0) -> "MaskPoly":
         return cls({(mask, d): v for d, v in tp.c.items()})
 
-    @classmethod
-    def marker(cls, j: int) -> "MaskPoly":
-        return cls({(1 << j, 0): 1})
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -217,44 +206,6 @@ class MaskPoly:
         res.c = out
         return res
 
-    def scale(self, a: Scalar) -> "MaskPoly":
-        if not a:
-            return MaskPoly.zero()
-        res = MaskPoly.__new__(MaskPoly)
-        res.c = {k: a * v for k, v in self.c.items()}
-        return res
-
-    def scale_tpoly(self, tp: TPoly) -> "MaskPoly":
-        """Multiply by a marker-free Laurent polynomial."""
-        out: dict[tuple[int, int], Scalar] = {}
-        for (m, d1), v1 in self.c.items():
-            for d2, v2 in tp.c.items():
-                k = (m, d1 + d2)
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        res = MaskPoly.__new__(MaskPoly)
-        res.c = out
-        return res
-
-    def twist(self, m: int, signed: bool) -> "MaskPoly":
-        """t -> (+-) t^m on the t-variable only; markers are untouched.
-
-        Markers are degree-zero bookkeeping variables, so they acquire no
-        sign and no power (their square-free law makes powering meaningless).
-        """
-        if m == 1:
-            return self
-        if signed and m % 2 == 0:
-            res = MaskPoly.__new__(MaskPoly)
-            res.c = {(msk, m * d): (v if d % 2 == 0 else -v) for (msk, d), v in self.c.items()}
-            return res
-        res = MaskPoly.__new__(MaskPoly)
-        res.c = {(msk, m * d): v for (msk, d), v in self.c.items()}
-        return res
-
     def coeff_mask(self, mask: int) -> TPoly:
         """The t-polynomial multiplying the given exact marker product."""
         return TPoly({d: v for (m, d), v in self.c.items() if m == mask})
@@ -264,12 +215,3 @@ class MaskPoly:
 
     def __repr__(self) -> str:
         return f"MaskPoly({self.c!r})"
-
-
-def prod_maskpolys(factors: list[MaskPoly]) -> MaskPoly:
-    out = MaskPoly.from_tpoly(TPoly.one())
-    for f in factors:
-        out = out * f
-        if not out:
-            break
-    return out

@@ -20,15 +20,12 @@ from .partitions import (
     Partition,
     PiPoset,
     block_structure,
-    centralizer_order,
-    concat,
+    class_sum,
+    compositions_of,
     partitions_of,
-    weight,
 )
 from .symseq import SymSeq, evaluate
 from .trace import InducedPow, LinesPow, SpacePow, extract_value, multi_trace
-
-from fractions import Fraction
 
 
 def cross_effect_eval(F: SymSeq, spaces: list[TPoly], signed: bool = False) -> TPoly:
@@ -58,43 +55,17 @@ def co_cross_effect_eval(F: SymSeq, spaces: list[TPoly], signed: bool = False) -
     groups, with slot group i evaluated on the i-th space.
     """
     r = len(spaces)
-    deg = F.degree()
     total = TPoly.zero()
-
-    def shapes(i: int, remaining: int, shape: tuple[int, ...]):
-        if i == r:
-            if all(shape):
-                yield shape
-            return
-        for n in range(1, remaining + 1):
-            yield from shapes(i + 1, remaining - n, shape + (n,))
-
-    for shape in shapes(0, deg, ()):
-        chi = F.entry(sum(shape))
+    for n in range(r, F.degree() + 1):
+        chi = F.entry(n)
         if chi.is_zero():
             continue
-        for mus in _partition_tuples(shape):
-            val = chi.values[concat((), tuple(m for mu in mus for m in mu))]
-            if not val:
-                continue
-            z = 1
-            for mu in mus:
-                z *= centralizer_order(mu)
-            term = val.scale(Fraction(1, z))
-            for mu, X in zip(mus, spaces):
-                for part in mu:
-                    term = term * X.twist(part, signed)
-            total = total + term
+        for shape in compositions_of(n):
+            if len(shape) == r:
+                total = total + class_sum(
+                    shape, chi.values.__getitem__, lambda i, part: spaces[i].twist(part, signed), lambda v: v
+                )
     return total
-
-
-def _partition_tuples(shape: tuple[int, ...]):
-    if not shape:
-        yield ()
-        return
-    for mu in partitions_of(shape[0]):
-        for rest in _partition_tuples(shape[1:]):
-            yield (mu,) + rest
 
 
 def _layer_family(G: SymSeq, l: int, inner, signed: bool) -> InducedPow:

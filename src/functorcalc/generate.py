@@ -23,9 +23,8 @@ from __future__ import annotations
 import random
 
 from .exactpoly import TPoly
-from .holim import Cell, cells_sequence
+from .holim import Cell
 from .partitions import multinomial
-from .symseq import SymSeq
 
 #: Compositions allowed per arity.  Cell dimension is the multinomial
 #: coefficient of the composition, so these keep every entry at dim <= 3.
@@ -96,16 +95,6 @@ def random_cells(
     if not cells:
         cells.append(Cell((1,), sign=False, degree=_random_degree(rng)))
     return cells
-
-
-def random_seq(rng: random.Random, max_degree: int, density: float = 0.5) -> SymSeq:
-    """Random reduced genuine sequence (the character of `random_cells`)."""
-    return cells_sequence(random_cells(rng, max_degree, density))
-
-
-def random_pair(rng: random.Random, max_degree: int, density: float = 0.5) -> tuple[SymSeq, SymSeq]:
-    """Independent random reduced pair (outer, inner)."""
-    return random_seq(rng, max_degree, density), random_seq(rng, max_degree, density)
 
 
 def random_homogeneous_cells(rng: random.Random, n: int, max_dim: int = MAX_ENTRY_DIM) -> list[Cell]:

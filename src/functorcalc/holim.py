@@ -66,10 +66,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def mat_apply(A: Matrix, v: Vec) -> Vec:
-    return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
-
-
 def _rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     mat = [[Fraction(x) for x in row] for row in rows]

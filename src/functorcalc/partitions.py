@@ -5,6 +5,10 @@ they double as cycle types of permutations and as the index set for the
 summands of the composition product.  A partition ``n = k_1*l_1 + ... +
 k_r*l_r`` with ``l_1 < ... < l_r`` has block structure ``((l_1, k_1), ...,
 (l_r, k_r))`` and attached subgroup of order ``prod (l_i!)^{k_i} * k_i!``.
+
+``class_sum`` is the one cycle-index sum over a product of symmetric
+groups: evaluation, base change, the per-partition product, cross
+effects and every trace go through it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+
+from .exactpoly import TPoly
 
 Partition = tuple[int, ...]
 
@@ -85,6 +92,56 @@ def centralizer_order(p: Partition) -> int:
     for m, a in block_structure(p):
         z *= m**a * math.factorial(a)
     return z
+
+
+@lru_cache(maxsize=None)
+def _class_table(groups: tuple[int, ...]) -> tuple[tuple[Partition, Fraction, tuple[tuple[int, int], ...]], ...]:
+    """Every tuple of classes (mu_1, ..., mu_r) with mu_i a partition of groups[i].
+
+    Each row is (merged cycle type, 1 / (z_{mu_1} ... z_{mu_r}), the pairs
+    (i, m) for every part m of every mu_i), so that class sums never sort
+    parts or compute centralizer orders.
+    """
+    table = []
+    for mus in product(*(partitions_of(k) for k in groups)):
+        z = 1
+        for mu in mus:
+            z *= centralizer_order(mu)
+        merged = partition(m for mu in mus for m in mu)
+        parts = tuple((i, m) for i, mu in enumerate(mus) for m in mu)
+        table.append((merged, Fraction(1, z), parts))
+    return tuple(table)
+
+
+def class_sum(groups, value, image, lift):
+    """Cycle-index sum over the product of symmetric groups on groups[i] letters.
+
+    Returns the sum, over tuples (mu_1, ..., mu_r) with mu_i a partition
+    of groups[i], of
+
+        lift(value(mu_1 + ... + mu_r) / (z_{mu_1} ... z_{mu_r}))
+            * prod_i prod_{parts m of mu_i} image(i, m),
+
+    which is the average over the group of value(cycle type) times the
+    product, over the cycles of each slot group i, of image(i, length).
+    value maps a cycle type on sum(groups) letters to a TPoly (zero
+    values are skipped); lift carries a TPoly into the ring the images
+    live in (TPoly, MaskPoly or PSPoly), and a term stops multiplying as
+    soon as it vanishes.
+    """
+    total = lift(TPoly.zero())
+    for merged, inv_z, parts in _class_table(tuple(groups)):
+        val = value(merged)
+        if not val:
+            continue
+        term = lift(val.scale(inv_z))
+        for i, m in parts:
+            term = term * image(i, m)
+            if not term:
+                break
+        else:  # only terms that survived every factor are added
+            total = total + term
+    return total
 
 
 def concat(p: Partition, q: Partition) -> Partition:

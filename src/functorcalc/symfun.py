@@ -1,13 +1,14 @@
 """Power-sum symmetric functions, plethysm, and generating functions.
 
-A ``PSPoly`` is a polynomial in power sums p_m over any number of labelled
-alphabets, with Laurent-polynomial coefficients in the grading variable.
-Characters of symmetric groups pass to symmetric functions by the usual
-transform chi -> sum_mu chi(mu) p_mu / z_mu and back by reading off p_mu
-coefficients.  Plethysm substitutes one symmetric function into another;
-its graded (signed) variant twists the inner function by
-p_j -> p_{jm}, t -> (-1)^(m-1) t^m when substituted into p_m, which is the
-rule matching sign-respecting permutation actions on tensor powers.
+A ``PSPoly`` is a polynomial in power sums p_m, with Laurent-polynomial
+coefficients in the grading variable; a monomial p_mu is keyed by the
+partition mu.  Characters of symmetric groups pass to symmetric functions
+by the usual transform chi -> sum_mu chi(mu) p_mu / z_mu and back by
+reading off p_mu coefficients.  Plethysm substitutes one symmetric
+function into another; its graded (signed) variant twists the inner
+function by p_j -> p_{jm}, t -> (-1)^(m-1) t^m when substituted into p_m,
+which is the rule matching sign-respecting permutation actions on tensor
+powers.
 ``RationalSeries`` holds truncated exponential generating functions and
 composes them, the counting shadow of the composition product.
 """
@@ -18,19 +19,14 @@ import math
 from fractions import Fraction
 
 from .characters import GradedCharacter
-from .exactpoly import Scalar, TPoly
+from .exactpoly import TPoly
 from .partitions import Partition, centralizer_order, partitions_of
 
-Var = tuple[int, int]  # (alphabet, power-sum index)
-Monomial = tuple[Var, ...]  # sorted, with repetition
-
-
-def _mono_weight(mono: Monomial) -> int:
-    return sum(m for _, m in mono)
+Monomial = Partition  # p_mu, the product of p_m over the parts m of mu
 
 
 class PSPoly:
-    """Polynomial in power sums over labelled alphabets, {monomial: coefficient}."""
+    """Polynomial in power sums, {monomial: coefficient}."""
 
     __slots__ = ("c",)
 
@@ -46,25 +42,20 @@ class PSPoly:
         return cls({(): TPoly.one()})
 
     @classmethod
-    def var(cls, m: int, alphabet: int = 0) -> "PSPoly":
-        return cls({((alphabet, m),): TPoly.one()})
+    def var(cls, m: int) -> "PSPoly":
+        return cls({(m,): TPoly.one()})
 
     @classmethod
-    def power_sum(cls, mu: Partition, alphabet: int = 0) -> "PSPoly":
-        return cls({tuple((alphabet, m) for m in mu): TPoly.one()})
-
-    @classmethod
-    def from_character(cls, chi: GradedCharacter, alphabet: int = 0) -> "PSPoly":
+    def from_character(cls, chi: GradedCharacter) -> "PSPoly":
         """Characteristic transform: sum_mu chi(mu) p_mu / z_mu."""
         out: dict[Monomial, TPoly] = {}
         for mu, val in chi.values.items():
             if val:
-                mono = tuple((alphabet, m) for m in mu)
-                out[mono] = val.scale(Fraction(1, centralizer_order(mu)))
+                out[mu] = val.scale(Fraction(1, centralizer_order(mu)))
         return cls(out)
 
-    def is_zero(self) -> bool:
-        return not self.c
+    def __bool__(self) -> bool:
+        return bool(self.c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSPoly):
@@ -83,20 +74,12 @@ class PSPoly:
         res.c = out
         return res
 
-    def __sub__(self, other: "PSPoly") -> "PSPoly":
-        return self + other.scale(-1)
-
-    def scale(self, a: Scalar | TPoly) -> "PSPoly":
-        if isinstance(a, TPoly):
-            return PSPoly({k: v * a for k, v in self.c.items()})
-        return PSPoly({k: v.scale(a) for k, v in self.c.items()})
-
     def mul(self, other: "PSPoly", max_weight: int | None = None) -> "PSPoly":
         out: dict[Monomial, TPoly] = {}
         for m1, v1 in self.c.items():
-            w1 = _mono_weight(m1)
+            w1 = sum(m1)
             for m2, v2 in other.c.items():
-                if max_weight is not None and w1 + _mono_weight(m2) > max_weight:
+                if max_weight is not None and w1 + sum(m2) > max_weight:
                     continue
                 mono = tuple(sorted(m1 + m2))
                 w = out.get(mono, TPoly.zero()) + v1 * v2
@@ -112,49 +95,34 @@ class PSPoly:
         return self.mul(other)
 
     def twist(self, m: int, signed: bool) -> "PSPoly":
-        """p_j -> p_{jm} on every alphabet; coefficients t -> (+-) t^m."""
+        """p_j -> p_{jm}; coefficients t -> (+-) t^m."""
         if m == 1:
             return self
-        out: dict[Monomial, TPoly] = {}
-        for mono, v in self.c.items():
-            key = tuple(sorted((a, j * m) for a, j in mono))
-            w = out.get(key, TPoly.zero()) + v.twist(m, signed)
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-        return PSPoly(out)
+        return PSPoly({tuple(j * m for j in mono): v.twist(m, signed) for mono, v in self.c.items()})
 
     def substitute(self, image, max_weight: int | None = None) -> "PSPoly":
-        """Ring homomorphism sending each power-sum variable to image(var)."""
+        """Ring homomorphism sending each power sum p_m to image(m)."""
         out = PSPoly.zero()
         for mono, coeff in self.c.items():
             term = PSPoly({(): coeff})
-            for v in mono:
-                term = term.mul(image(v), max_weight)
-                if term.is_zero():
+            for m in mono:
+                term = term.mul(image(m), max_weight)
+                if not term:
                     break
             out = out + term
         return out
 
     def truncate_weight(self, max_weight: int) -> "PSPoly":
-        return PSPoly({k: v for k, v in self.c.items() if _mono_weight(k) <= max_weight})
+        return PSPoly({k: v for k, v in self.c.items() if sum(k) <= max_weight})
 
-    def homogeneous_part(self, n: int) -> "PSPoly":
-        return PSPoly({k: v for k, v in self.c.items() if _mono_weight(k) == n})
-
-    def to_character(self, n: int, alphabet: int = 0) -> GradedCharacter:
-        """Inverse characteristic transform on the weight-n single-alphabet part."""
+    def to_character(self, n: int) -> GradedCharacter:
+        """Inverse characteristic transform on the weight-n part."""
         vals: dict[Partition, TPoly] = {}
         for mu in partitions_of(n):
-            mono = tuple((alphabet, m) for m in mu)
-            coeff = self.c.get(mono)
+            coeff = self.c.get(mu)
             if coeff:
                 vals[mu] = coeff.scale(centralizer_order(mu))
         return GradedCharacter(n, vals)
-
-    def coeff(self, mono: Monomial) -> TPoly:
-        return self.c.get(tuple(sorted(mono)), TPoly.zero())
 
     def __repr__(self) -> str:
         return f"PSPoly({self.c!r})"
@@ -163,17 +131,15 @@ class PSPoly:
 def plethysm(outer: PSPoly, inner: PSPoly, signed: bool = False, max_weight: int | None = None) -> PSPoly:
     """outer[inner]: substitute the inner function into every power sum of the outer.
 
-    Alphabets of the outer function are all substituted the same way; the
-    inner function keeps its own alphabets.  With a weight bound, monomials
-    above the bound are dropped throughout — consistent because the inner
-    function must have no constant term, so weights never decrease.
+    With a weight bound, monomials above the bound are dropped throughout —
+    consistent because the inner function must have no constant term, so
+    weights never decrease.
     """
     if () in inner.c:
         raise ValueError("inner function of a plethysm must have zero constant term")
     cache: dict[int, PSPoly] = {}
 
-    def image(v: Var) -> PSPoly:
-        _, m = v
+    def image(m: int) -> PSPoly:
         if m not in cache:
             tw = inner.twist(m, signed)
             cache[m] = tw.truncate_weight(max_weight) if max_weight is not None else tw

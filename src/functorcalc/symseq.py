@@ -9,7 +9,8 @@ The composition product is computed two independent ways:
 
 * per-partition route: for each partition of n, induce the restriction
   of an outer entry tensored with inner entries along the corresponding
-  product of wreath products, using multi-alphabet symmetric functions;
+  product of wreath products, as a class sum over the restriction whose
+  cycles are filled with twisted characteristics of the inner entries;
 * plethysm route: apply the characteristic transform to both sequences
   and substitute one total symmetric function into the other.
 
@@ -21,14 +22,13 @@ the flag only changes power-sum twists, never stored characters.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .characters import GradedCharacter
 from .exactpoly import TPoly
 from .partitions import (
     Partition,
     block_structure,
-    centralizer_order,
+    class_sum,
     concat,
     partitions_of,
     weight,
@@ -83,9 +83,6 @@ class SymSeq:
     def reduced_part(self) -> "SymSeq":
         """The same sequence with the constant entry removed."""
         return SymSeq({n: chi for n, chi in self.entries.items() if n > 0}, self.bound)
-
-    def known_range(self) -> int | None:
-        return self.bound
 
     def __add__(self, other: "SymSeq") -> "SymSeq":
         bound = _min_bound(self.bound, other.bound)
@@ -148,39 +145,27 @@ def composition_summand(A: SymSeq, B: SymSeq, lam: Partition, signed: bool = Fal
     For n = k_1*l_1 + ... + k_r*l_r this is the induction, from the product
     of wreath products over the blocks, of (restriction of A_k) tensored
     with one copy of B_{l_i} per block, with k = k_1 + ... + k_r.  Computed
-    by writing the restriction of A_k in r power-sum alphabets and
-    substituting the characteristic of B_{l_i} (twisted when signed) for
-    the i-th alphabet.
+    as the class sum of A_k over the product of the symmetric groups on
+    k_1, ..., k_r letters, a cycle of length m in group i contributing
+    the characteristic of B_{l_i} twisted by m (signed when asked).  Every
+    term has weight exactly n, so nothing needs truncating.
     """
     n = weight(lam)
     blocks = block_structure(lam)
-    k = len(lam)
-    a_k = A.entry(k)
+    a_k = A.entry(len(lam))
     if a_k.is_zero():
         return GradedCharacter.zero(n)
 
-    terms: dict = {}
-    for mus in iproduct(*[partitions_of(kk) for (_, kk) in blocks]):
-        val = a_k.values[concat((), tuple(m for mu in mus for m in mu))]
-        if not val:
-            continue
-        z = 1
-        for mu in mus:
-            z *= centralizer_order(mu)
-        mono = tuple(sorted((i + 1, m) for i, mu in enumerate(mus) for m in mu))
-        terms[mono] = val.scale(Fraction(1, z))
-    f = PSPoly(terms)
+    inners = [PSPoly.from_character(B.entry(l)) for l, _ in blocks]
+    twisted: dict[tuple[int, int], PSPoly] = {}
 
-    inners = {i + 1: PSPoly.from_character(B.entry(l), alphabet=0) for i, (l, _) in enumerate(blocks)}
-    cache: dict = {}
+    def image(i: int, m: int) -> PSPoly:
+        if (i, m) not in twisted:
+            twisted[i, m] = inners[i].twist(m, signed)
+        return twisted[i, m]
 
-    def image(v):
-        a, m = v
-        if v not in cache:
-            cache[v] = inners[a].twist(m, signed)
-        return cache[v]
-
-    return f.substitute(image, max_weight=n).to_character(n)
+    groups = tuple(k for _, k in blocks)
+    return class_sum(groups, a_k.values.__getitem__, image, lambda v: PSPoly({(): v})).to_character(n)
 
 
 def _compose_bounds(A: SymSeq, B: SymSeq, bound: int | None) -> tuple[int, bool]:
@@ -243,14 +228,7 @@ def evaluate(A: SymSeq, X: TPoly, signed: bool = False) -> TPoly:
         raise ValueError("spaces must have nonnegative integer graded dimensions")
     total = TPoly.zero()
     for n, chi in A.entries.items():
-        for mu in partitions_of(n):
-            val = chi.values[mu]
-            if not val:
-                continue
-            term = val.scale(Fraction(1, centralizer_order(mu)))
-            for m in mu:
-                term = term * X.twist(m, signed)
-            total = total + term
+        total = total + class_sum((n,), chi.values.__getitem__, lambda _, m: X.twist(m, signed), lambda v: v)
     return total
 
 
@@ -271,17 +249,37 @@ def shift_base(A: SymSeq, X: TPoly, signed: bool = False) -> SymSeq:
         for nu in partitions_of(n):
             acc = TPoly.zero()
             for m in range(0, deg - n + 1):
-                for mu in partitions_of(m):
-                    val = A.entry(n + m).values[concat(nu, mu)]
-                    if not val:
-                        continue
-                    term = val.scale(Fraction(1, centralizer_order(mu)))
-                    for part in mu:
-                        term = term * X.twist(part, signed)
-                    acc = acc + term
+                values = A.entry(n + m).values
+                acc = acc + class_sum(
+                    (m,), lambda mu: values[concat(nu, mu)], lambda _, part: X.twist(part, signed), lambda v: v
+                )
             vals[nu] = acc
         entries[n] = GradedCharacter(n, vals)
     return SymSeq(entries)
+
+
+def compose_around(
+    F: SymSeq,
+    G: SymSeq,
+    X: TPoly,
+    signed: bool = False,
+    bound: int | None = None,
+    compose_fn=compose,
+) -> SymSeq:
+    """Chain-rule product at the base point X, the prediction for the
+    derivatives of V -> F(G(X + V)).
+
+    The derivatives of F re-expanded around G(X), composed with those of
+    G re-expanded around X with the constant entry removed.  compose_fn
+    replaces the composition product (the battery's self-test feeds a
+    corrupted one).
+    """
+    return compose_fn(
+        shift_base(F, evaluate(G, X, signed), signed),
+        shift_base(G, X, signed).reduced_part(),
+        signed=signed,
+        bound=bound,
+    )
 
 
 def _scalar_to_json(a: Fraction):

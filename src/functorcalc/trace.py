@@ -13,21 +13,19 @@ Evaluations of a sequence then have traces
 
     trace = sum_k sum_{mu of k} chi_k(mu)/z_mu * prod_i pow_{mu_i},
 
-and the same shape computes pow_m of an evaluation from pow of the
-inputs, with the entry characters twisted — no induced matrices are ever
-formed.  Marker bookkeeping uses square-free masks; dropping repeated
-markers is exact for the extracted coefficients because a monomial with
-a repeated marker can never multiply back into a square-free one.
+which is ``InducedPow(F, family, signed).pow(1)``; the same class sum
+computes pow_m of an evaluation from pow of the inputs, with the entry
+characters twisted — no induced matrices are ever formed.  Marker
+bookkeeping uses square-free masks; dropping repeated markers is exact
+for the extracted coefficients because a monomial with a repeated
+marker can never multiply back into a square-free one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product as iproduct
-
 from .characters import GradedCharacter
 from .exactpoly import MaskPoly, TPoly
-from .partitions import Partition, centralizer_order, concat, partitions_of
+from .partitions import Partition, class_sum, partitions_of
 from .symseq import SymSeq
 
 
@@ -97,39 +95,14 @@ class InducedPow:
         if m not in self._cache:
             total = MaskPoly.zero()
             for k, chi in self.G.entries.items():
-                for mu in partitions_of(k):
-                    val = chi.values[mu]
-                    if not val:
-                        continue
-                    term = MaskPoly.from_tpoly(
-                        val.twist(m, self.signed).scale(Fraction(1, centralizer_order(mu)))
-                    )
-                    for part in mu:
-                        term = term * self.inner.pow(m * part)
-                        if not term:
-                            break
-                    total = total + term
+                total = total + class_sum(
+                    (k,),
+                    lambda mu: chi.values[mu].twist(m, self.signed),
+                    lambda _, part: self.inner.pow(m * part),
+                    MaskPoly.from_tpoly,
+                )
             self._cache[m] = total
         return self._cache[m]
-
-
-def trace_of(F: SymSeq, fam, signed: bool) -> MaskPoly:
-    """Trace of the induced operator on the evaluation of F at the family."""
-    if not F.complete:
-        raise ValueError("trace evaluation needs a complete sequence")
-    total = MaskPoly.zero()
-    for k, chi in F.entries.items():
-        for mu in partitions_of(k):
-            val = chi.values[mu]
-            if not val:
-                continue
-            term = MaskPoly.from_tpoly(val.scale(Fraction(1, centralizer_order(mu))))
-            for part in mu:
-                term = term * fam.pow(part)
-                if not term:
-                    break
-            total = total + term
-    return total
 
 
 def multi_trace(F: SymSeq, slots: list[tuple[object, int]], signed: bool) -> MaskPoly:
@@ -142,28 +115,13 @@ def multi_trace(F: SymSeq, slots: list[tuple[object, int]], signed: bool) -> Mas
     """
     if not F.complete:
         raise ValueError("trace evaluation needs a complete sequence")
-    k = sum(ki for _, ki in slots)
-    chi = F.entry(k)
-    if chi.is_zero():
-        return MaskPoly.zero()
-    total = MaskPoly.zero()
-    for mus in iproduct(*[partitions_of(ki) for _, ki in slots]):
-        val = chi.values[concat((), tuple(m for mu in mus for m in mu))]
-        if not val:
-            continue
-        z = 1
-        for mu in mus:
-            z *= centralizer_order(mu)
-        term = MaskPoly.from_tpoly(val.scale(Fraction(1, z)))
-        for (fam, _), mu in zip(slots, mus):
-            for part in mu:
-                term = term * fam.pow(part)
-                if not term:
-                    break
-            if not term:
-                break
-        total = total + term
-    return total
+    groups = tuple(ki for _, ki in slots)
+    return class_sum(
+        groups,
+        F.entry(sum(groups)).values.__getitem__,
+        lambda i, part: slots[i][0].pow(part),
+        MaskPoly.from_tpoly,
+    )
 
 
 def extract_value(tr: MaskPoly, nu: Partition) -> TPoly:
@@ -200,31 +158,7 @@ def composite_derivatives(
             fam = LinesPow(nu)
             if base is not None and base:
                 fam = SumPow(SpacePow(base, signed), fam)
-            tr = trace_of(F, InducedPow(G, fam, signed), signed)
+            tr = InducedPow(F, InducedPow(G, fam, signed), signed).pow(1)
             vals[nu] = extract_value(tr, nu)
-        entries[n] = GradedCharacter(n, vals)
-    return SymSeq(entries, bound=nmax)
-
-
-def sequence_derivatives(
-    A: SymSeq,
-    nmax: int,
-    signed: bool = False,
-    base: TPoly | None = None,
-) -> SymSeq:
-    """Derivatives of the functor of a single sequence around a base point.
-
-    With base 0 this inverts evaluation exactly and must return A itself;
-    with a base space it computes the same thing as the combinatorial
-    base-change formula, through traces instead.
-    """
-    entries: dict[int, GradedCharacter] = {}
-    for n in range(nmax + 1):
-        vals: dict[Partition, TPoly] = {}
-        for nu in partitions_of(n):
-            fam = LinesPow(nu)
-            if base is not None and base:
-                fam = SumPow(SpacePow(base, signed), fam)
-            vals[nu] = extract_value(trace_of(A, fam, signed), nu)
         entries[n] = GradedCharacter(n, vals)
     return SymSeq(entries, bound=nmax)

@@ -48,6 +48,7 @@ from .symseq import (
     SymSeq,
     TruncationError,
     compose,
+    compose_around,
     compose_plethysm,
     composition_summand,
     evaluate,
@@ -217,10 +218,7 @@ def _check_chain_rule_general_base(cfg: RunConfig, compose_fn, tally: Tally) -> 
         F, G = cells_sequence(f_cells), cells_sequence(g_cells)
         X = random_space(rng, 2)
         lhs = composite_derivatives(F, G, window, signed, base=X)
-        inner_value = evaluate(G, X, signed)
-        outer_shift = shift_base(F, inner_value, signed)
-        inner_shift = shift_base(G, X, signed)
-        rhs = compose_fn(outer_shift, inner_shift.reduced_part(), signed=signed, bound=window)
+        rhs = compose_around(F, G, X, signed, window, compose_fn)
         instances += 1
         bad = _first_disagreement(lhs, rhs, window)
         if bad is not None:
@@ -239,10 +237,7 @@ def _check_chain_rule_general_base(cfg: RunConfig, compose_fn, tally: Tally) -> 
         F, G = cells_sequence(f_cells), cells_sequence(g_cells)
         X = random_space(rng, 2)
         shifted_composite = shift_base(compose_fn(F, G, signed=signed), X, signed)
-        inner_value = evaluate(G, X, signed)
-        rhs = compose_fn(shift_base(F, inner_value, signed),
-                         shift_base(G, X, signed).reduced_part(),
-                         signed=signed, bound=window)
+        rhs = compose_around(F, G, X, signed, window, compose_fn)
         instances += 1
         bad = _first_disagreement(shifted_composite, rhs, window)
         if bad is not None:

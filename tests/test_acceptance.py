@@ -6,9 +6,17 @@ criterion, asserts the mapped checks passed with the required instance
 counts, and asserts the wall-time caps.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from functorcalc.verify import ORACLE_INSTANCES, RunConfig, run_battery
+
+#: sha256 of the default report as ``functorcalc verify --json-out`` writes
+#: it.  A change to this value must be a deliberate change of the report
+#: (new checks, instances or record fields), never a side effect.
+DEFAULT_REPORT_SHA256 = "be0cccd6563dfc14e60257722ecb863935a4d9ccd5558cc4e68248ab24a5f51f"
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +129,9 @@ def test_battery_overall_status(battery):
     report, _, _ = battery
     assert report["status"] == "pass"
     assert report["mutated"] is False
+
+
+def test_default_report_bytes_are_pinned(battery):
+    report, _, _ = battery
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256

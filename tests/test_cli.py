@@ -159,6 +159,16 @@ def test_chainrule_command(pair, capsys):
     capsys.readouterr()
 
 
+def test_negative_bound_exits_two(pair, capsys):
+    # a negative window compares no entries, so it must not report agreement
+    fp, gp, _, _ = pair
+    assert main(["chainrule", str(fp), str(gp), "--bound", "-1"]) == 2
+    assert main(["compose", str(fp), str(gp), "--bound", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "agree" not in captured.out
+    assert "negative" in captured.err
+
+
 def test_chainrule_truncated_inputs(pair, tmp_path, capsys):
     fp, gp, F, _ = pair
     doc = seq_to_json(F)

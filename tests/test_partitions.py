@@ -1,16 +1,21 @@
 """Partition and poset combinatorics against independent recurrences."""
 
 import math
+import random
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
+from functorcalc.characters import cycle_type
+from functorcalc.exactpoly import MaskPoly, TPoly
 from functorcalc.partitions import (
     PiPoset,
     bell_number,
     block_structure,
     centralizer_order,
+    class_sum,
     compositions_of,
     concat,
     multinomial,
@@ -22,6 +27,7 @@ from functorcalc.partitions import (
     sub_multisets,
     weight,
 )
+from functorcalc.trace import LinesPow
 
 
 @lru_cache(maxsize=None)
@@ -163,3 +169,81 @@ def test_pi_poset_counts():
     for k in range(1, 4):
         for n in range(k, 8):
             assert len(PiPoset(k, n).objects) == math.comb(n, k)
+
+
+# ---------------------------------------------------------------------------
+# the cycle-index kernel shared by the trace, product and evaluation routes
+
+
+def slot_groupings(max_total: int):
+    """Every tuple of slot-group sizes with total <= max_total, plus a lone empty group."""
+    yield (0,)
+    for n in range(max_total + 1):
+        yield from compositions_of(n)
+
+
+def brute_class_sum(groups, value, image, lift):
+    """Oracle: average over every element of S_{k_1} x ... x S_{k_r}, one at a time.
+
+    No centralizer orders: each tuple of permutations contributes its own
+    cycle types, weighted by one over the group order.
+    """
+    elements = list(product(*(permutations(range(k)) for k in groups)))
+    total = lift(TPoly.zero())
+    for perms in elements:
+        types = [cycle_type(p) for p in perms]
+        merged = partition(m for t in types for m in t)
+        term = lift(value(merged).scale(Fraction(1, len(elements))))
+        for i, t in enumerate(types):
+            for m in t:
+                term = term * image(i, m)
+        total = total + term
+    return total
+
+
+def random_class_function(rng: random.Random, n: int) -> dict:
+    """Random TPoly per cycle type, about a third of them zero."""
+    return {
+        mu: TPoly({rng.randrange(0, 3): rng.choice((-2, -1, 1, 3))}) if rng.random() < 0.67 else TPoly.zero()
+        for mu in partitions_of(n)
+    }
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_class_sum_matches_permutation_average_on_twisted_spaces(signed):
+    rng = random.Random(71 + signed)
+    for groups in slot_groupings(5):
+        for _ in range(2):
+            values = random_class_function(rng, sum(groups))
+            spaces = [TPoly({d: rng.randrange(0, 3) for d in (0, 1, 2)}) for _ in groups]
+
+            def image(i, m):
+                return spaces[i].twist(m, signed)
+
+            def lift(v):
+                return v
+
+            expected = brute_class_sum(groups, values.__getitem__, image, lift)
+            assert class_sum(groups, values.__getitem__, image, lift) == expected
+
+
+def test_class_sum_matches_permutation_average_on_marked_lines():
+    # marker families vanish on cycle lengths they lack and on overlapping
+    # markers, so many terms die part-way through their product
+    rng = random.Random(73)
+    for groups in slot_groupings(5):
+        for shared_markers in (False, True, True):
+            values = random_class_function(rng, sum(groups))
+            families = []
+            first = 0
+            for k in groups:
+                shapes = partitions_of(k)
+                shape = shapes[rng.randrange(len(shapes))]
+                families.append(LinesPow(shape, first_marker=rng.randrange(0, 3) if shared_markers else first))
+                first += sum(shape)
+
+            def image(i, m):
+                return families[i].pow(m)
+
+            expected = brute_class_sum(groups, values.__getitem__, image, MaskPoly.from_tpoly)
+            assert class_sum(groups, values.__getitem__, image, MaskPoly.from_tpoly) == expected

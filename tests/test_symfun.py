@@ -146,7 +146,7 @@ def test_egf_compose_rejects_constant_term():
 
 
 def test_fraction_coefficients_survive():
-    f = PSPoly({((0, 1),): TPoly.constant(Fraction(1, 2))})
+    f = PSPoly({(1,): TPoly.constant(Fraction(1, 2))})
     g = f + f
-    assert g == PSPoly({((0, 1),): TPoly.one()})
-    assert math.isclose(float(sum(Fraction(v) for v in g.c[((0, 1),)].c.values())), 1.0)
+    assert g == PSPoly({(1,): TPoly.one()})
+    assert math.isclose(float(sum(Fraction(v) for v in g.c[(1,)].c.values())), 1.0)

@@ -7,14 +7,13 @@ import pytest
 from functorcalc.characters import GradedCharacter
 from functorcalc.exactpoly import dims_poly
 from functorcalc.partitions import partitions_of
-from functorcalc.symseq import SymSeq, compose, evaluate, shift_base
+from functorcalc.symseq import SymSeq, compose, evaluate, shift_base, unit_seq
 from functorcalc.trace import (
+    InducedPow,
     LinesPow,
     composite_derivatives,
     extract_value,
     multi_trace,
-    sequence_derivatives,
-    trace_of,
 )
 
 
@@ -35,7 +34,7 @@ def test_extraction_inverts_evaluation(signed):
     rng = random.Random(101 + signed)
     for _ in range(6):
         A = random_seq(rng, allow_const=True)
-        got = sequence_derivatives(A, 3, signed)
+        got = composite_derivatives(A, unit_seq(), 3, signed)
         assert got.agrees_with(A, 3)
 
 
@@ -56,7 +55,7 @@ def test_traced_base_change_matches_shift(signed):
     for _ in range(5):
         A = random_seq(rng, allow_const=True)
         X = dims_poly({0: rng.randrange(0, 3), 1: rng.randrange(0, 2), 2: rng.randrange(0, 2)})
-        got = sequence_derivatives(A, 3, signed, base=X)
+        got = composite_derivatives(A, unit_seq(), 3, signed, base=X)
         assert got.agrees_with(shift_base(A, X, signed), 3)
 
 
@@ -102,12 +101,12 @@ def test_multi_trace_single_slot_matches_trace():
             for nu in partitions_of(n):
                 fam = LinesPow(nu)
                 lhs = multi_trace(F.layer_part(n), [(fam, n)], signed)
-                rhs = trace_of(F.layer_part(n), fam, signed)
+                rhs = InducedPow(F.layer_part(n), fam, signed).pow(1)
                 assert lhs == rhs
 
 
 def test_extract_value_scaling():
     # a 3-cycle on the third tensor power of the tautological line sequence
     A = SymSeq({3: GradedCharacter.trivial(3).scale(3)})
-    tr = trace_of(A, LinesPow((3,)), False)
+    tr = InducedPow(A, LinesPow((3,)), False).pow(1)
     assert extract_value(tr, (3,)) == A.entry(3).values[(3,)]
