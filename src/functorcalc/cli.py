@@ -156,7 +156,8 @@ def cmd_chainrule(args) -> int:
     _require_reduced(G, args.inner)
     base = None
     if args.base is not None or args.base_file:
-        base = _load_space(args.base_file, args.base)
+        # the zero space is base 0: the same as giving no base at all
+        base = _load_space(args.base_file, args.base) or None
     if base is not None and not (F.complete and G.complete):
         print("a base point mixes every arity into every lower one, so entry 0 "
               "of the shifted composite cannot be verified from truncated "
@@ -307,13 +308,12 @@ def cmd_verify(args) -> int:
         sign_mode = "signed"
     try:
         config = RunConfig(seed=args.seed, bound=args.bound, sign_mode=sign_mode,
-                           pairs=args.pairs, budget=args.budget)
+                           pairs=args.pairs, budget=args.budget, mutate=args.mutate)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report, _times = run_battery(
         config,
         check_names=args.check or None,
-        mutate=args.mutate,
         log=lambda line: print(line, file=sys.stderr),
     )
     for record in report["checks"]:

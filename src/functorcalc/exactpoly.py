@@ -16,6 +16,15 @@ from fractions import Fraction
 Scalar = int | Fraction
 
 
+def exact_div(v: Scalar, q: int) -> Scalar:
+    """v / q exactly: an int when q divides v, else a Fraction."""
+    if isinstance(v, int):
+        a, r = divmod(v, q)
+        return Fraction(v, q) if r else a
+    w = v / q
+    return w.numerator if w.denominator == 1 else w
+
+
 class TPoly:
     """Laurent polynomial in t, stored as {exponent: nonzero coefficient}."""
 
@@ -101,6 +110,12 @@ class TPoly:
         res.c = {d: a * v for d, v in self.c.items()}
         return res
 
+    def div_exact(self, q: int) -> "TPoly":
+        """Every coefficient divided by the integer q (see ``exact_div``)."""
+        res = TPoly.__new__(TPoly)
+        res.c = {d: exact_div(v, q) for d, v in self.c.items()}
+        return res
+
     def twist(self, m: int, signed: bool) -> "TPoly":
         """Substitute t -> t^m, with t -> (-1)^(m-1) t^m in signed mode.
 
@@ -168,7 +183,9 @@ class MaskPoly:
 
     @classmethod
     def from_tpoly(cls, tp: TPoly, mask: int = 0) -> "MaskPoly":
-        return cls({(mask, d): v for d, v in tp.c.items()})
+        res = cls.__new__(cls)
+        res.c = {(mask, d): v for d, v in tp.c.items()}  # already nonzero
+        return res
 
     def __bool__(self) -> bool:
         return bool(self.c)
@@ -204,6 +221,12 @@ class MaskPoly:
                     out.pop(k, None)
         res = MaskPoly.__new__(MaskPoly)
         res.c = out
+        return res
+
+    def div_exact(self, q: int) -> "MaskPoly":
+        """Every coefficient divided by the integer q (see ``exact_div``)."""
+        res = MaskPoly.__new__(MaskPoly)
+        res.c = {k: exact_div(v, q) for k, v in self.c.items()}
         return res
 
     def coeff_mask(self, mask: int) -> TPoly:

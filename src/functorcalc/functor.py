@@ -88,7 +88,7 @@ def fgl_derivatives(F: SymSeq, G: SymSeq, lam: Partition, nmax: int, signed: boo
         for nu in partitions_of(n):
             fam = LinesPow(nu)
             slots = [(_layer_family(G, l, fam, signed), k) for (l, k) in blocks]
-            vals[nu] = extract_value(multi_trace(F, slots, signed), nu)
+            vals[nu] = extract_value(multi_trace(F, slots), nu)
         entries[n] = GradedCharacter(n, vals)
     return SymSeq(entries, bound=nmax)
 
@@ -97,7 +97,7 @@ def fgl_value(F: SymSeq, G: SymSeq, lam: Partition, X: TPoly, signed: bool = Fal
     """Value of the summand functor attached to a partition on a space."""
     blocks = block_structure(lam)
     slots = [(_layer_family(G, l, SpacePow(X, signed), signed), k) for (l, k) in blocks]
-    return multi_trace(F, slots, signed).marker_free()
+    return multi_trace(F, slots).marker_free()
 
 
 def layer_value_via_summands(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool = False) -> TPoly:
@@ -112,7 +112,7 @@ def _orbit_value(F: SymSeq, G: SymSeq, sorted_tuple: tuple[int, ...], X: TPoly, 
     """Coinvariants of F_k tensor a product of layers of G, one per entry of the tuple."""
     groups = block_structure(sorted_tuple)
     slots = [(_layer_family(G, v, SpacePow(X, signed), signed), a) for (v, a) in groups]
-    return multi_trace(F, slots, signed).marker_free()
+    return multi_trace(F, slots).marker_free()
 
 
 def dn_product_value(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool = False) -> TPoly:

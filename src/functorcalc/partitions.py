@@ -95,13 +95,17 @@ def centralizer_order(p: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _class_table(groups: tuple[int, ...]) -> tuple[tuple[Partition, Fraction, tuple[tuple[int, int], ...]], ...]:
-    """Every tuple of classes (mu_1, ..., mu_r) with mu_i a partition of groups[i].
+def _class_table(groups: tuple[int, ...]) -> tuple[int, tuple[tuple[Partition, int, tuple[tuple[int, int], ...]], ...]]:
+    """The group order and every tuple of classes (mu_1, ..., mu_r), mu_i a partition of groups[i].
 
-    Each row is (merged cycle type, 1 / (z_{mu_1} ... z_{mu_r}), the pairs
-    (i, m) for every part m of every mu_i), so that class sums never sort
-    parts or compute centralizer orders.
+    The order is groups[0]! ... groups[r-1]!.  Each row is (merged cycle
+    type, the class size order / (z_{mu_1} ... z_{mu_r}), the pairs (i, m)
+    for every part m of every mu_i), so that class sums never sort parts
+    or compute centralizer orders.
     """
+    order = 1
+    for k in groups:
+        order *= math.factorial(k)
     table = []
     for mus in product(*(partitions_of(k) for k in groups)):
         z = 1
@@ -109,39 +113,47 @@ def _class_table(groups: tuple[int, ...]) -> tuple[tuple[Partition, Fraction, tu
             z *= centralizer_order(mu)
         merged = partition(m for mu in mus for m in mu)
         parts = tuple((i, m) for i, mu in enumerate(mus) for m in mu)
-        table.append((merged, Fraction(1, z), parts))
-    return tuple(table)
+        table.append((merged, order // z, parts))
+    return order, tuple(table)
 
 
 def class_sum(groups, value, image, lift):
     """Cycle-index sum over the product of symmetric groups on groups[i] letters.
 
-    Returns the sum, over tuples (mu_1, ..., mu_r) with mu_i a partition
-    of groups[i], of
+    With order = groups[0]! ... groups[r-1]!, returns
 
-        lift(value(mu_1 + ... + mu_r) / (z_{mu_1} ... z_{mu_r}))
-            * prod_i prod_{parts m of mu_i} image(i, m),
+        (1 / order) * sum over tuples (mu_1, ..., mu_r), mu_i a partition
+        of groups[i], of  |class| * lift(value(mu_1 + ... + mu_r))
+                                  * prod_i prod_{parts m of mu_i} image(i, m),
 
-    which is the average over the group of value(cycle type) times the
-    product, over the cycles of each slot group i, of image(i, length).
-    value maps a cycle type on sum(groups) letters to a TPoly (zero
-    values are skipped); lift carries a TPoly into the ring the images
-    live in (TPoly, MaskPoly or PSPoly), and a term stops multiplying as
-    soon as it vanishes.
+    where |class| = order / (z_{mu_1} ... z_{mu_r}) counts the group
+    elements of that cycle type.  This is the average over the group of
+    value(cycle type) times the product, over the cycles of each slot
+    group i, of image(i, length).  value maps a cycle type on
+    sum(groups) letters to a TPoly (zero values are skipped); lift
+    carries a TPoly into the ring the images live in (TPoly, MaskPoly or
+    PSPoly), and a term stops multiplying as soon as it vanishes.
+
+    Class sizes are integers, so integer values and images keep every
+    product in ``int``; the one division by the order, at the end, gives
+    an ``int`` wherever it is exact and an exact ``Fraction`` otherwise.
     """
+    order, table = _class_table(tuple(groups))
     total = lift(TPoly.zero())
-    for merged, inv_z, parts in _class_table(tuple(groups)):
+    for merged, size, parts in table:
         val = value(merged)
         if not val:
             continue
-        term = lift(val.scale(inv_z))
+        # integral Fraction coefficients become ints here, once per class
+        scaled = {d: v.numerator * size if v.denominator == 1 else v * size for d, v in val.c.items()}
+        term = lift(TPoly(scaled))
         for i, m in parts:
             term = term * image(i, m)
             if not term:
                 break
         else:  # only terms that survived every factor are added
             total = total + term
-    return total
+    return total.div_exact(order)
 
 
 def concat(p: Partition, q: Partition) -> Partition:

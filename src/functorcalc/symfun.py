@@ -94,6 +94,12 @@ class PSPoly:
     def __mul__(self, other: "PSPoly") -> "PSPoly":
         return self.mul(other)
 
+    def div_exact(self, q: int) -> "PSPoly":
+        """Every coefficient divided by the integer q (see ``TPoly.div_exact``)."""
+        res = PSPoly.__new__(PSPoly)
+        res.c = {k: v.div_exact(q) for k, v in self.c.items()}
+        return res
+
     def twist(self, m: int, signed: bool) -> "PSPoly":
         """p_j -> p_{jm}; coefficients t -> (+-) t^m."""
         if m == 1:

@@ -312,7 +312,7 @@ def space_from_json(data) -> TPoly:
     """Parse a graded space; dimensions must be nonnegative integers."""
     if not isinstance(data, dict) or not isinstance(data.get("dims"), dict):
         raise ValueError("a graded space is {'dims': {degree: dimension}}")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     for key, val in data["dims"].items():
         try:
             d = int(key)
@@ -322,7 +322,7 @@ def space_from_json(data) -> TPoly:
         if dim.denominator != 1 or dim < 0:
             raise ValueError(f"dimension at degree {d} must be a nonnegative integer")
         if dim:
-            coeffs[d] = dim
+            coeffs[d] = dim.numerator  # integral (checked above), stored as an int as dims_poly does
     return TPoly(coeffs)
 
 

@@ -68,7 +68,9 @@ class RunConfig:
     seed drives every generator; bound is the comparison window of the
     main chain-rule check (other checks pin the windows their claims
     state); sign_mode selects plain or Koszul-signed symmetry (or both);
-    pairs scales instance counts; budget caps the approximation oracle.
+    pairs scales instance counts; budget caps the approximation oracle;
+    mutate runs the harness self-test (the report records it as
+    "mutated", outside "config").
     """
 
     seed: int = 2026
@@ -76,6 +78,7 @@ class RunConfig:
     sign_mode: str = "both"
     pairs: int = 100
     budget: int = 200000
+    mutate: bool = False
 
     def __post_init__(self):
         if self.sign_mode not in ("unsigned", "signed", "both"):
@@ -142,7 +145,10 @@ def _rng(cfg: RunConfig, name: str) -> random.Random:
 
 
 def _repro(cfg: RunConfig, name: str) -> str:
-    return f"functorcalc verify --seed {cfg.seed} --check {name}"
+    """The command line that reruns one check under the whole config."""
+    line = (f"functorcalc verify --seed {cfg.seed} --bound {cfg.bound} --pairs {cfg.pairs} "
+            f"--sign-mode {cfg.sign_mode} --budget {cfg.budget} --check {name}")
+    return line + " --mutate" if cfg.mutate else line
 
 
 def _record(name: str, claim: str, instances: int, failures: list) -> dict:
@@ -741,7 +747,7 @@ def corrupted_compose(A: SymSeq, B: SymSeq, signed: bool = False, bound: int | N
     return SymSeq(entries, bound=out.bound)
 
 
-def run_battery(config: RunConfig, check_names=None, mutate: bool = False, log=None):
+def run_battery(config: RunConfig, check_names=None, log=None):
     """Run the battery; returns (report, wall_times).
 
     The report is a pure data dict (no floats, no clocks): a fixed
@@ -759,7 +765,7 @@ def run_battery(config: RunConfig, check_names=None, mutate: bool = False, log=N
     records = []
     times: dict[str, float] = {}
     for name, runner, targeted in selected:
-        fn = corrupted_compose if (mutate and targeted) else compose
+        fn = corrupted_compose if (config.mutate and targeted) else compose
         start = perf_counter()
         record = runner(config, fn, tally)
         times[name] = perf_counter() - start
@@ -770,7 +776,7 @@ def run_battery(config: RunConfig, check_names=None, mutate: bool = False, log=N
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     report = {
         "config": config.to_json(),
-        "mutated": bool(mutate),
+        "mutated": config.mutate,
         "checks": records,
         "status": status,
     }

@@ -8,6 +8,7 @@ same configuration.
 
 import json
 import random
+import shlex
 import subprocess
 import sys
 
@@ -92,6 +93,7 @@ def test_space_json_roundtrip_with_fractions():
     doc = {"dims": {"0": 2, "3": 1}}
     X = space_from_json(doc)
     assert X.coeff(0) == 2 and X.coeff(3) == 1
+    assert all(type(v) is int for v in X.c.values())
 
 
 def test_scalar_strings_survive_roundtrip():
@@ -184,6 +186,23 @@ def test_chainrule_truncated_inputs(pair, tmp_path, capsys):
     assert "entry 3" in err
     # a base point needs complete inputs
     assert main(["chainrule", str(fb), str(gp), "--bound", "1", "--base", "0"]) == 2
+
+
+def test_chainrule_empty_base_is_no_base(pair, tmp_path, capsys):
+    fp, gp, F, _ = pair
+    doc = seq_to_json(F)
+    doc["bound"] = 2
+    doc["entries"] = [e for e in doc["entries"] if e["n"] <= 2]
+    fb = tmp_path / "Fb.json"
+    fb.write_text(json.dumps(doc))
+    plain, empty = tmp_path / "plain.json", tmp_path / "empty.json"
+    assert main(["chainrule", str(fb), str(gp), "--bound", "2", "--json-out", str(plain)]) == 0
+    # the zero space is base 0, so truncated inputs stay acceptable
+    assert main(["chainrule", str(fb), str(gp), "--bound", "2", "--base", "",
+                 "--json-out", str(empty)]) == 0
+    assert json.loads(empty.read_text())["base"] is None
+    assert empty.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
 
 
 def test_derivative_command(pair, tmp_path, capsys):
@@ -284,10 +303,26 @@ def test_verify_mutation_flips_targeted_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repro_line_replays_its_failure(tmp_path, capsys):
+    # a failure from a run with non-default knobs must come back, record for
+    # record, from the command line it carries
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["verify", "--check", "chain-rule-zero-base", "--mutate", "--bound", "3",
+                 "--pairs", "3", "--sign-mode", "unsigned", "--budget", "5000",
+                 "--json-out", str(first)]) == 1
+    failures = json.loads(first.read_text())["checks"][0]["failures"]
+    assert failures
+    argv = shlex.split(failures[0]["repro"])
+    assert argv[0] == "functorcalc"
+    assert main(argv[1:] + ["--json-out", str(second)]) == 1
+    assert json.loads(second.read_text())["checks"][0]["failures"] == failures
+    capsys.readouterr()
+
+
 def test_mutation_flips_exactly_the_targeted_checks():
     from functorcalc.verify import MUTATION_TARGETED, RunConfig, run_battery
 
-    report, _ = run_battery(RunConfig(pairs=5), mutate=True)
+    report, _ = run_battery(RunConfig(pairs=5, mutate=True))
     failing = {r["check"] for r in report["checks"] if r["status"] == "fail"}
     assert failing == MUTATION_TARGETED
     assert report["status"] == "fail"

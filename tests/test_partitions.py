@@ -201,10 +201,10 @@ def brute_class_sum(groups, value, image, lift):
     return total
 
 
-def random_class_function(rng: random.Random, n: int) -> dict:
+def random_class_function(rng: random.Random, n: int, coeffs=(-2, -1, 1, 3)) -> dict:
     """Random TPoly per cycle type, about a third of them zero."""
     return {
-        mu: TPoly({rng.randrange(0, 3): rng.choice((-2, -1, 1, 3))}) if rng.random() < 0.67 else TPoly.zero()
+        mu: TPoly({rng.randrange(0, 3): rng.choice(coeffs)}) if rng.random() < 0.67 else TPoly.zero()
         for mu in partitions_of(n)
     }
 
@@ -247,3 +247,26 @@ def test_class_sum_matches_permutation_average_on_marked_lines():
 
             expected = brute_class_sum(groups, values.__getitem__, image, MaskPoly.from_tpoly)
             assert class_sum(groups, values.__getitem__, image, MaskPoly.from_tpoly) == expected
+
+
+def test_class_sum_keeps_rational_values_exact():
+    # non-integral Fraction values take the exact-division fallback; integral
+    # Fractions must come out the same as the ints they equal
+    rng = random.Random(79)
+    rational = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(4, 1), -1)
+    fractional_results = 0
+    for groups in slot_groupings(5):
+        for _ in range(2):
+            values = random_class_function(rng, sum(groups), coeffs=rational)
+            spaces = [TPoly({d: rng.randrange(0, 3) for d in (0, 1)}) for _ in groups]
+            families = [LinesPow(partitions_of(k)[-1], first_marker=3 * i) for i, k in enumerate(groups)]
+            for image, lift in (
+                (lambda i, m: spaces[i].twist(m, False), lambda v: v),
+                (lambda i, m: families[i].pow(m), MaskPoly.from_tpoly),
+            ):
+                got = class_sum(groups, values.__getitem__, image, lift)
+                assert got == brute_class_sum(groups, values.__getitem__, image, lift)
+                for v in got.c.values():
+                    assert type(v) is int or v.denominator > 1
+                    fractional_results += type(v) is Fraction
+    assert fractional_results
