@@ -195,7 +195,10 @@ def induce_young(chi1: GradedCharacter, chi2: GradedCharacter) -> GradedCharacte
     """Induction of an outer tensor product along a two-block parabolic subgroup.
 
     (Ind chi1 x chi2)(rho) = sum over splittings rho = alpha + beta (as
-    multisets) of z_rho / (z_alpha z_beta) * chi1(alpha) * chi2(beta).
+    multisets) of z_rho / (z_alpha z_beta) * chi1(alpha) * chi2(beta).  The
+    ratio is a product of binomial coefficients (which cycles of each
+    length go to alpha), so it is an int and integer characters induce to
+    integer characters.
     """
     a, b = chi1.n, chi2.n
     n = a + b
@@ -204,7 +207,7 @@ def induce_young(chi1: GradedCharacter, chi2: GradedCharacter) -> GradedCharacte
         z_rho = centralizer_order(rho)
         acc = TPoly.zero()
         for alpha, beta in sub_multisets(rho, a):
-            coeff = Fraction(z_rho, centralizer_order(alpha) * centralizer_order(beta))
+            coeff = z_rho // (centralizer_order(alpha) * centralizer_order(beta))
             acc = acc + (chi1.values[alpha] * chi2.values[beta]).scale(coeff)
         vals[rho] = acc
     return GradedCharacter(n, vals)

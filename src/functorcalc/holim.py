@@ -25,15 +25,22 @@ polynomial truncation that never touches symmetric sequences.  Joins
 shift degree by one, so the construction is only conservative when
 permutations act with Koszul signs; the realization layer therefore
 always applies them.
+
+All of it stands on exact linear algebra that eliminates in ``int`` only:
+``_rref`` is fraction-free Gauss-Jordan (one division per pivot row, at
+the end), and a ``Subquotient`` chooses its image basis and its kernel
+representatives in one pass over a single integer echelon basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from math import gcd, lcm
 
 Vec = list
 Matrix = list  # list of rows; rows x cols = target dim x source dim
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +73,32 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
+def _integer_row(row: Vec) -> list[int]:
+    """The row times the lcm of its denominators: a list of ints."""
+    den = 1
+    for x in row:
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
+    """Clear column c of row against pivot_row, then divide out the gcd."""
+    p, f = pivot_row[c], row[c]
+    out = [p * a - f * b for a, b in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
+
+
 def _rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan: the rows are scaled to integers, every
+    elimination step stays in ``int`` (each new row divided by the gcd of
+    its entries), and each pivot row is divided by its pivot once at the
+    end.  The reduced form is unique, so this is the rational RREF.
+    """
+    mat = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     r = 0
     cols = len(mat[0]) if mat else 0
@@ -77,17 +107,15 @@ def _rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = _eliminate(mat[i], mat[r], c)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    red = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(mat, pivots)]
+    return red, pivots
 
 
 def mat_rank(A: Matrix) -> int:
@@ -131,18 +159,31 @@ class Subquotient:
 
     reps: kernel vectors extending a basis of the image to one of the
     kernel; coords(w) expresses a kernel vector in the quotient basis.
+
+    One pass picks both: the im vectors, then the ker vectors, are reduced
+    in ``int`` against a growing echelon basis (each basis row vanishes at
+    the pivots of the rows before it), and a vector is kept exactly when a
+    nonzero remainder is left, i.e. when it is not in the span of the
+    vectors kept before it.
     """
 
     def __init__(self, ambient_dim: int, ker: list[Vec], im: list[Vec]):
         self.ambient_dim = ambient_dim
-        self.im: list[Vec] = []
-        for v in im:
-            if solve_in_columns(self.im, v) is None:
-                self.im.append(v)
-        self.reps: list[Vec] = []
-        for v in ker:
-            if solve_in_columns(self.im + self.reps, v) is None:
-                self.reps.append(v)
+        basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+
+        def independent(v: Vec) -> bool:
+            row = _integer_row(v)
+            for c, b in basis:
+                if row[c]:
+                    row = _eliminate(row, b, c)
+            c = next((j for j, x in enumerate(row) if x), None)
+            if c is None:
+                return False
+            basis.append((c, row))
+            return True
+
+        self.im: list[Vec] = [v for v in im if independent(v)]
+        self.reps: list[Vec] = [v for v in ker if independent(v)]
 
     @property
     def dim(self) -> int:

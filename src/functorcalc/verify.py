@@ -52,6 +52,7 @@ from .symseq import (
     compose_plethysm,
     composition_summand,
     evaluate,
+    seq_to_json,
     shift_base,
     unit_seq,
 )
@@ -168,7 +169,15 @@ def _first_disagreement(lhs: SymSeq, rhs: SymSeq, upto: int) -> int | None:
     return None
 
 
-def _pair_failure(cfg: RunConfig, name: str, idx: int, signed: bool, f_cells, g_cells, detail: str) -> dict:
+def _entry_values(lhs: SymSeq, rhs: SymSeq, n: int) -> dict:
+    """The two sides' entry n, each as a one-entry sequence document."""
+    return {"lhs": seq_to_json(SymSeq({n: lhs.entry(n)})),
+            "rhs": seq_to_json(SymSeq({n: rhs.entry(n)}))}
+
+
+def _pair_failure(cfg: RunConfig, name: str, idx: int, signed: bool, f_cells, g_cells, detail: str,
+                  values: dict | None = None) -> dict:
+    """A failure record; values carries the two disagreeing sides (``_entry_values``)."""
     return {
         "instance": idx,
         "signed": signed,
@@ -176,6 +185,7 @@ def _pair_failure(cfg: RunConfig, name: str, idx: int, signed: bool, f_cells, g_
         "inner_cells": cells_to_json(g_cells),
         "detail": detail,
         "repro": _repro(cfg, name),
+        **(values or {}),
     }
 
 
@@ -200,7 +210,8 @@ def _check_chain_rule_zero_base(cfg: RunConfig, compose_fn, tally: Tally) -> dic
             if bad is not None:
                 failures.append(_pair_failure(
                     cfg, name, i, signed, f_cells, g_cells,
-                    f"derivative route and product route differ first at entry {bad}"))
+                    f"derivative route and product route differ first at entry {bad}",
+                    _entry_values(lhs, rhs, bad)))
             else:
                 tally.add_seq(rhs, cfg.bound, name, failures, cfg)
     return _record(
@@ -231,7 +242,7 @@ def _check_chain_rule_general_base(cfg: RunConfig, compose_fn, tally: Tally) -> 
             failures.append(_pair_failure(
                 cfg, name, i, signed, f_cells, g_cells,
                 f"trace route and shifted product route differ first at entry {bad} "
-                f"(base dims {X!r})"))
+                f"(base dims {X!r})", _entry_values(lhs, rhs, bad)))
         else:
             tally.add_seq(rhs, window, name, failures, cfg)
     # coefficient form: re-expanding the composite around X is the composite
@@ -250,7 +261,8 @@ def _check_chain_rule_general_base(cfg: RunConfig, compose_fn, tally: Tally) -> 
             failures.append(_pair_failure(
                 cfg, name, i + main_count, signed, f_cells, g_cells,
                 f"re-expanded composite and composite of re-expansions differ "
-                f"first at entry {bad} (base dims {X!r})"))
+                f"first at entry {bad} (base dims {X!r})",
+                _entry_values(shifted_composite, rhs, bad)))
     return _record(
         name,
         "around any base, derivatives of a composite equal the composition "
@@ -276,7 +288,8 @@ def _check_path_agreement(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
         if bad is not None:
             failures.append(_pair_failure(
                 cfg, name, i, signed, f_cells, g_cells,
-                f"per-partition route and plethysm route differ first at entry {bad}"))
+                f"per-partition route and plethysm route differ first at entry {bad}",
+                _entry_values(lhs, rhs, bad)))
         else:
             tally.add_seq(lhs, window, name, failures, cfg)
     return _record(
@@ -332,7 +345,7 @@ def _check_associativity(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
             failures.append(_pair_failure(
                 cfg, name, i, signed, a_cells, b_cells,
                 f"the two association orders differ first at entry {bad} "
-                f"(third factor {cells_to_json(c_cells)!r})"))
+                f"(third factor {cells_to_json(c_cells)!r})", _entry_values(lhs, rhs, bad)))
     return _record(
         name,
         "the composition product is associative on reduced sequences",
@@ -420,7 +433,8 @@ def _check_partition_summands(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
             failures.append(_pair_failure(
                 cfg, name, i, signed, f_cells, g_cells,
                 f"derivatives of the {list(lam)!r}-summand functor differ from "
-                f"the induced summand character first at entry {bad}"))
+                f"the induced summand character first at entry {bad}",
+                _entry_values(derivs, expected, bad)))
         else:
             tally.add_seq(derivs, nmax, name, failures, cfg)
     return _record(
@@ -570,14 +584,14 @@ def _check_truncation_identities(cfg: RunConfig, compose_fn, tally: Tally) -> di
         full = compose(A, B, signed=signed, bound=n)
         left = compose(A.truncate(n), B, signed=signed, bound=n)
         right = compose(A, B.truncate(n), signed=signed, bound=n)
-        bad = _first_disagreement(full, left, n)
-        if bad is None:
-            bad = _first_disagreement(full, right, n)
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, a_cells, b_cells,
-                f"truncating a factor at {n} changed the composite window "
-                f"first at entry {bad}"))
+        for truncated in (left, right):
+            bad = _first_disagreement(full, truncated, n)
+            if bad is not None:
+                failures.append(_pair_failure(
+                    cfg, name, i, signed, a_cells, b_cells,
+                    f"truncating a factor at {n} changed the composite window "
+                    f"first at entry {bad}", _entry_values(full, truncated, bad)))
+                break
     # a linear outer functor commutes with truncation on the nose
     for i in range(12):
         signed = cfg.alternate(i)

@@ -319,6 +319,30 @@ def test_repro_line_replays_its_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_failure_records_carry_both_disagreeing_entries(tmp_path, capsys):
+    from functorcalc.trace import composite_derivatives
+    from functorcalc.verify import corrupted_compose
+
+    out = tmp_path / "m.json"
+    assert main(["verify", "--check", "chain-rule-zero-base", "--mutate", "--bound", "3",
+                 "--pairs", "3", "--json-out", str(out)]) == 1
+    failures = json.loads(out.read_text())["checks"][0]["failures"]
+    assert failures
+    for record in failures:
+        # the corruption adds a two-letter summand, so the routes part at entry 2
+        assert record["detail"].endswith("differ first at entry 2")
+        F = cells_sequence(cells_from_json(record["outer_cells"]))
+        G = cells_sequence(cells_from_json(record["inner_cells"]))
+        signed = record["signed"]
+        lhs = composite_derivatives(F, G, 3, signed).entry(2)
+        rhs = corrupted_compose(F, G, signed=signed, bound=3).entry(2)
+        assert lhs != rhs
+        assert record["lhs"] == seq_to_json(SymSeq({2: lhs}))
+        assert record["rhs"] == seq_to_json(SymSeq({2: rhs}))
+        assert seq_from_json(record["rhs"]).entry(2) == rhs
+    capsys.readouterr()
+
+
 def test_mutation_flips_exactly_the_targeted_checks():
     from functorcalc.verify import MUTATION_TARGETED, RunConfig, run_battery
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from functorcalc import generate
 from functorcalc.exactpoly import TPoly, dims_poly
 from functorcalc.holim import (
     BudgetError,
@@ -24,6 +25,7 @@ from functorcalc.holim import (
     SplitDiagram,
     Subquotient,
     TnFunctor,
+    _rref,
     cell_character,
     cells_sequence,
     derived_limits,
@@ -61,6 +63,105 @@ def test_subquotient_coords():
     assert sq.coords([5, 1, 0]) == [1]  # the image part is quotiented away
     with pytest.raises(ArithmeticError):
         sq.coords([0, 0, 1])
+
+
+def _plain_rref(rows):
+    """Textbook Gauss-Jordan over Fraction: normalize each pivot, clear its column."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def _random_entry(rng, rational):
+    x = rng.choice([0, 0, 0, 1, -1, 2, -3, rng.randint(-40, 40)])
+    return Fraction(x, rng.randint(1, 9)) if rational and rng.random() < 0.4 else x
+
+
+def _random_matrix(rng, rows, cols, rational=True):
+    """A random matrix; about half of them are forced to low rank."""
+    if rng.random() < 0.5:
+        return [[_random_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+    gens = [[_random_entry(rng, rational) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+    return [[sum((rng.randint(-3, 3) * g[j] for g in gens), 0) for j in range(cols)]
+            for _ in range(rows)]
+
+
+def test_rref_matches_plain_gauss_jordan():
+    rng = random.Random(4201)
+    shapes = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 2)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3000)]
+    shapes += [(rng.randint(8, 14), rng.randint(1, 4)) for _ in range(100)]  # tall
+    shapes += [(rng.randint(1, 4), rng.randint(8, 14)) for _ in range(100)]  # wide
+    for rows, cols in shapes:
+        A = _random_matrix(rng, rows, cols)
+        assert _rref(A) == _plain_rref(A), A
+    for rows, cols in [(1, 1), (3, 5), (6, 2)]:
+        zero = [[0] * cols for _ in range(rows)]
+        assert _rref(zero) == ([], [])
+    # the rank and kernel built on it agree with the plain elimination
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        A = _random_matrix(rng, rows, cols)
+        red, pivots = _plain_rref(A)
+        assert mat_rank(A) == len(red)
+        ker = kernel_basis(A, cols)
+        assert len(ker) == cols - len(pivots)
+        assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in A for v in ker)
+
+
+def _greedy_keep(chosen, candidates):
+    """Keep each candidate that raises the rank of everything kept so far."""
+    kept = []
+    for v in candidates:
+        if mat_rank(chosen + kept + [v]) > mat_rank(chosen + kept):
+            kept.append(v)
+    return kept
+
+
+def test_subquotient_is_the_greedy_rank_selection():
+    rng = random.Random(4211)
+    for trial in range(400):
+        rational = trial % 2 == 1
+        dim = rng.randint(1, 7)
+        im = _random_matrix(rng, rng.randint(0, 6), dim, rational)
+        ker = _random_matrix(rng, rng.randint(0, 7), dim, rational)
+        sq = Subquotient(dim, ker, im)
+        assert sq.im == _greedy_keep([], im)
+        assert sq.reps == _greedy_keep(sq.im, ker)
+        assert sq.dim == len(sq.reps)
+
+
+def test_subquotient_coords_refuse_vectors_off_the_kernel_span():
+    rng = random.Random(4217)
+    for _ in range(200):
+        dim = rng.randint(2, 6)
+        ker = _random_matrix(rng, rng.randint(1, dim - 1), dim)
+        im = [[sum((rng.randint(-2, 2) * v[j] for v in ker), 0) for j in range(dim)]]
+        sq = Subquotient(dim, ker, im)
+        # a kernel-span vector has its coordinates; adding an image vector
+        # does not move them
+        coeffs = [rng.randint(-3, 3) for _ in sq.reps]
+        w = [sum((a * v[j] for a, v in zip(coeffs, sq.reps)), 0) for j in range(dim)]
+        shifted = [a + b for a, b in zip(w, im[0])]
+        assert sq.coords(w) == coeffs
+        assert sq.coords(shifted) == coeffs
+        off = [_random_entry(rng, True) for _ in range(dim)]
+        if mat_rank(sq.im + sq.reps + [off]) > mat_rank(sq.im + sq.reps):
+            with pytest.raises(ArithmeticError):
+                sq.coords(off)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +410,16 @@ def test_cell_character_of_the_regular_representation():
     assert chi.values[(2,)] == TPoly.zero()
     triv = cell_character(Cell((2,), sign=False))
     assert all(v == TPoly.one() for v in triv.values.values())
+
+
+def test_cells_sequence_has_int_coefficients():
+    # Young induction scales by binomial coefficients, never by a fraction
+    rng = random.Random(4223)
+    for _ in range(30):
+        seq = cells_sequence(generate.random_cells(rng, 5))
+        for chi in seq.entries.values():
+            for poly in chi.values.values():
+                assert all(type(poly.coeff(d)) is int for d in poly.support())
 
 
 # ---------------------------------------------------------------------------
