@@ -457,19 +457,17 @@ def _check_layer_decomposition(cfg: RunConfig, compose_fn, tally: Tally) -> dict
         F, G = cells_sequence(f_cells), cells_sequence(g_cells)
         composite = compose_fn(F, G, signed=signed, bound=window)
         instances += 1
-        bad = None
         for n in range(1, window + 1):
             total = GradedCharacter.zero(n)
             for lam in partitions_of(n):
                 total = total + fgl_derivatives(F, G, lam, n, signed).entry(n)
             if total != composite.entry(n):
-                bad = n
+                failures.append(_pair_failure(
+                    cfg, name, i, signed, f_cells, g_cells,
+                    f"sum of summand derivative characters differs from the "
+                    f"product entry first at arity {n}",
+                    _entry_values(SymSeq({n: total}), composite, n)))
                 break
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, g_cells,
-                f"sum of summand derivative characters differs from the "
-                f"product entry first at arity {bad}"))
         else:
             tally.add_seq(composite, window, name, failures, cfg)
     return _record(
