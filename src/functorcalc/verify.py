@@ -670,6 +670,18 @@ ORACLE_INSTANCES: tuple = (
     ("exterior-square-held", (Cell((2,), sign=True),), 2, (0, 1)),
     ("tensor-square-held", (Cell((1, 1)),), 2, (0,)),
     ("line-plus-exterior-held", (Cell((1,)), Cell((2,), sign=True)), 2, (0, 1)),
+    # Functors of degree at most the excision degree are held, so each value
+    # is the functor's own.  At a line in degree 0, Sym^3 X is one line and
+    # X (x) Sym^2 X is one line: {0: 1} both.
+    ("symmetric-cube-held", (Cell((3,)),), 3, (0,)),
+    ("hook-cell-held", (Cell((1, 2)),), 3, (0,)),
+    # X = two even lines and one odd: X (x) X has graded dimension
+    # (2 + t)^2 = 4 + 4t + t^2, so {0: 4, 1: 4, 2: 1}.
+    ("tensor-square-held-three-letters", (Cell((1, 1)),), 2, (0, 0, 1)),
+    # X = one even line e and two odd lines: the Koszul-signed Sym^2 X is
+    # Sym^2 e (+) e (x) odd (+) Lambda^2 odd = 1 + 2t + t^2, so
+    # {0: 1, 1: 2, 2: 1}.
+    ("symmetric-square-held-three-letters", (Cell((2,)),), 2, (0, 1, 1)),
 )
 
 

@@ -16,7 +16,7 @@ from functorcalc.verify import ORACLE_INSTANCES, RunConfig, run_battery
 #: sha256 of the default report as ``functorcalc verify --json-out`` writes
 #: it.  A change to this value must be a deliberate change of the report
 #: (new checks, instances or record fields), never a side effect.
-DEFAULT_REPORT_SHA256 = "be0cccd6563dfc14e60257722ecb863935a4d9ccd5558cc4e68248ab24a5f51f"
+DEFAULT_REPORT_SHA256 = "a7a590d765438f7a5d6599aee995550460367e3ee9785db640abf16a43f6d316"
 
 
 @pytest.fixture(scope="module")
