@@ -30,7 +30,7 @@ from .functor import (
     pn_limit_value,
     tower_stage_square_value,
 )
-from .holim import BudgetError, cells_from_json, cells_sequence, t_n_oracle
+from .holim import BudgetError, cells_from_json, t_n_expected, t_n_oracle
 from .partitions import partition
 from .symseq import (
     SymSeq,
@@ -268,19 +268,13 @@ def cmd_tn_oracle(args) -> int:
     n = args.excision_degree
     if n < 1:
         raise InputError("excision degree must be at least 1")
-    seq = cells_sequence(cells)
-    point = dims_poly({d: degs.count(d) for d in set(degs)})
-    expected_poly = evaluate(seq.truncate(n), point, signed=True)
-    window = args.window
-    if window is None:
-        window = max(list(expected_poly.support()) + list(degs) + [0]) + 2
+    window, expected = t_n_expected(cells, n, degs, args.window)
     try:
         out = t_n_oracle(cells, n, degs, window=window,
                          max_iter=args.max_iter, budget=args.budget)
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    expected = {d: int(expected_poly.coeff(d)) for d in expected_poly.support() if d <= window}
     for i, dims in enumerate(out["history"]):
         shown = ", ".join(f"t^{d}:{v}" for d, v in sorted(dims.items())) or "0"
         print(f"iterate {i}: {shown}")
@@ -303,11 +297,8 @@ def cmd_tn_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sign_mode = args.sign_mode
-    if args.signed:
-        sign_mode = "signed"
     try:
-        config = RunConfig(seed=args.seed, bound=args.bound, sign_mode=sign_mode,
+        config = RunConfig(seed=args.seed, bound=args.bound, sign_mode=args.sign_mode,
                            pairs=args.pairs, budget=args.budget, mutate=args.mutate)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -411,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200000)
     p.add_argument("--sign-mode", choices=("unsigned", "signed", "both"),
                    default="both")
-    p.add_argument("--signed", action="store_true",
-                   help="shorthand for --sign-mode signed")
     p.add_argument("--check", action="append", choices=CHECK_NAMES,
                    metavar="NAME", default=None,
                    help="run only the named check (repeatable); one of: "

@@ -12,7 +12,7 @@ never expand the composition product, so that tests can compare the two.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .characters import GradedCharacter
 from .exactpoly import TPoly
@@ -22,6 +22,7 @@ from .partitions import (
     block_structure,
     class_sum,
     compositions_of,
+    multinomial,
     partitions_of,
 )
 from .symseq import SymSeq, evaluate
@@ -108,13 +109,6 @@ def layer_value_via_summands(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: boo
     return total
 
 
-def _orbit_value(F: SymSeq, G: SymSeq, sorted_tuple: tuple[int, ...], X: TPoly, signed: bool) -> TPoly:
-    """Coinvariants of F_k tensor a product of layers of G, one per entry of the tuple."""
-    groups = block_structure(sorted_tuple)
-    slots = [(_layer_family(G, v, SpacePow(X, signed), signed), a) for (v, a) in groups]
-    return multi_trace(F, slots).marker_free()
-
-
 def dn_product_value(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool = False) -> TPoly:
     """n-th layer of F o G for homogeneous F, from tuples of layers of G.
 
@@ -126,7 +120,7 @@ def dn_product_value(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool = Fals
     total = TPoly.zero()
     for lam in partitions_of(n):
         if len(lam) == k:
-            total = total + _orbit_value(F, G, lam, X, signed)
+            total = total + fgl_value(F, G, lam, X, signed)
     return total
 
 
@@ -149,7 +143,7 @@ def pn_limit_value(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool = False)
 
     labels_at: dict[tuple[int, ...], frozenset] = {}
     for r in poset.objects:
-        labels_at[r] = frozenset(_tuples_below(r))
+        labels_at[r] = frozenset(product(*(range(1, a + 1) for a in r)))
     diagram = SplitDiagram(
         objects=list(poset.objects),
         arrows=poset.arrows(),
@@ -164,29 +158,11 @@ def pn_limit_value(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool = False)
 
     total = TPoly.zero()
     for rep, mult in sorted(orbit_counts.items()):
-        orbit_size = _orbit_size(rep)
+        orbit_size = multinomial(tuple(a for _, a in block_structure(rep)))
         if mult % orbit_size:
             raise ArithmeticError(f"limit multiplicity {mult} not a multiple of orbit size at {rep}")
-        total = total + _orbit_value(F, G, rep, X, signed).scale(mult // orbit_size)
+        total = total + fgl_value(F, G, rep, X, signed).scale(mult // orbit_size)
     return total
-
-
-def _tuples_below(r: tuple[int, ...]):
-    if not r:
-        yield ()
-        return
-    for first in range(1, r[0] + 1):
-        for rest in _tuples_below(r[1:]):
-            yield (first,) + rest
-
-
-def _orbit_size(rep: tuple[int, ...]) -> int:
-    import math
-
-    size = math.factorial(len(rep))
-    for _, a in block_structure(rep):
-        size //= math.factorial(a)
-    return size
 
 
 def _homogeneous_degree(F: SymSeq) -> int:
@@ -260,5 +236,5 @@ def tower_stage_square_value(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: boo
     counts = split_limit(diagram)
     total = TPoly.zero()
     for label, mult in sorted(counts.items()):
-        total = total + _orbit_value(F, G, label_reps[label], X, signed).scale(mult)
+        total = total + fgl_value(F, G, label_reps[label], X, signed).scale(mult)
     return total

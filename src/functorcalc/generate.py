@@ -36,6 +36,10 @@ _SMALL_CELLS: dict[int, tuple[tuple[int, ...], ...]] = {
 
 MAX_ENTRY_DIM = 3
 
+#: Random spaces have total dimension 1 or 2, each letter in degree 0 or 1.
+MAX_SPACE_DIM = 2
+SPACE_DEGREES = (0, 1)
+
 
 def allowed_compositions(n: int) -> tuple[tuple[int, ...], ...]:
     """Compositions available to the generator at arity n."""
@@ -58,15 +62,15 @@ def _random_degree(rng: random.Random) -> int:
     return 2
 
 
-def random_entry_cells(rng: random.Random, n: int, max_dim: int = MAX_ENTRY_DIM) -> list[Cell]:
-    """Random nonzero cell list for a single arity, total dim <= max_dim."""
+def random_entry_cells(rng: random.Random, n: int) -> list[Cell]:
+    """Random nonzero cell list for a single arity, total dim <= MAX_ENTRY_DIM."""
     cells: list[Cell] = []
     total = 0
     options = allowed_compositions(n)
     while True:
         alpha = options[rng.randrange(len(options))]
         d = cell_dim(alpha)
-        if total + d > max_dim:
+        if total + d > MAX_ENTRY_DIM:
             break
         cells.append(Cell(alpha, sign=rng.random() < 0.5, degree=_random_degree(rng)))
         total += d
@@ -75,47 +79,42 @@ def random_entry_cells(rng: random.Random, n: int, max_dim: int = MAX_ENTRY_DIM)
     return cells
 
 
-def random_cells(
-    rng: random.Random,
-    max_degree: int,
-    density: float = 0.5,
-    max_dim: int = MAX_ENTRY_DIM,
-) -> list[Cell]:
+def random_cells(rng: random.Random, max_degree: int) -> list[Cell]:
     """Random reduced cell functor with entries up to the given arity.
 
     Each arity from 1 to max_degree is populated independently with
-    probability ``density``; the result is never empty (a lone linear
+    probability one half; the result is never empty (a lone linear
     cell is the fallback), so generated functors are genuine, reduced
     and nonzero.
     """
     cells: list[Cell] = []
     for n in range(1, max_degree + 1):
-        if rng.random() < density:
-            cells.extend(random_entry_cells(rng, n, max_dim))
+        if rng.random() < 0.5:
+            cells.extend(random_entry_cells(rng, n))
     if not cells:
         cells.append(Cell((1,), sign=False, degree=_random_degree(rng)))
     return cells
 
 
-def random_homogeneous_cells(rng: random.Random, n: int, max_dim: int = MAX_ENTRY_DIM) -> list[Cell]:
+def random_homogeneous_cells(rng: random.Random, n: int) -> list[Cell]:
     """Random nonzero cell list concentrated in a single arity."""
-    cells = random_entry_cells(rng, n, max_dim)
+    cells = random_entry_cells(rng, n)
     if not cells:
         cells = [Cell(allowed_compositions(n)[0], sign=rng.random() < 0.5, degree=_random_degree(rng))]
     return cells
 
 
-def random_space(rng: random.Random, max_total: int = 2, degrees: tuple[int, ...] = (0, 1)) -> TPoly:
-    """Random nonzero graded space with total dimension <= max_total."""
-    total = rng.randrange(1, max_total + 1)
+def random_space(rng: random.Random) -> TPoly:
+    """Random nonzero graded space with total dimension <= MAX_SPACE_DIM."""
+    total = rng.randrange(1, MAX_SPACE_DIM + 1)
     coeffs: dict[int, int] = {}
     for _ in range(total):
-        d = degrees[rng.randrange(len(degrees))]
+        d = SPACE_DEGREES[rng.randrange(len(SPACE_DEGREES))]
         coeffs[d] = coeffs.get(d, 0) + 1
     return TPoly(coeffs)
 
 
-def random_trivial_cells(rng: random.Random, max_degree: int, max_dim: int = MAX_ENTRY_DIM) -> list[Cell]:
+def random_trivial_cells(rng: random.Random, max_degree: int) -> list[Cell]:
     """Random reduced functor built from single-row cells only.
 
     Single-row cells carry the trivial action, so the entry characters
@@ -125,7 +124,7 @@ def random_trivial_cells(rng: random.Random, max_degree: int, max_dim: int = MAX
     cells: list[Cell] = []
     for n in range(1, max_degree + 1):
         if rng.random() < 0.6:
-            for _ in range(rng.randrange(1, max_dim + 1)):
+            for _ in range(rng.randrange(1, MAX_ENTRY_DIM + 1)):
                 cells.append(Cell((n,), sign=False, degree=_random_degree(rng)))
     if not cells:
         cells.append(Cell((1,)))

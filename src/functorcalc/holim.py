@@ -10,7 +10,7 @@ Three engines, in increasing strength:
 * ``linear_limit``: the plain (underived) limit of an arbitrary diagram
   of graded spaces — the kernel of the difference map.  This is NOT a
   homotopy limit; tests document where the two disagree.
-* ``derived_limits`` / ``HolimValue``: the genuine thing.  Over a finite
+* ``derived_limits`` / ``PosetDiagramValue``: the genuine thing.  Over a finite
   poset shape the homotopy limit of a diagram of graded spaces has
   degree-d part equal to the direct sum over i of the i-th derived limit
   of the degree-(d+i) parts, computed from the cochain complex over
@@ -27,9 +27,10 @@ permutations act with Koszul signs; the realization layer therefore
 always applies them.
 
 All of it stands on exact linear algebra that eliminates in ``int`` only:
-``_rref`` is fraction-free Gauss-Jordan (one division per pivot row, at
-the end), and a ``Subquotient`` chooses its image basis and its kernel
-representatives in one pass over a single integer echelon basis.
+``_rref`` is fraction-free Gauss-Jordan returning integer rows, kernel
+vectors are built from those rows in ``int``, ``solve_in_columns`` makes
+the only division, and a ``Subquotient`` chooses its image basis and its
+kernel representatives in one pass over a single integer echelon basis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from math import gcd, lcm
 
 Vec = list
 Matrix = list  # list of rows; rows x cols = target dim x source dim
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +90,14 @@ def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     return [a // g for a in out] if g > 1 else out
 
 
-def _rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def _rref(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form; returns (rows, pivot column indices).
 
-    Fraction-free Gauss-Jordan: the rows are scaled to integers, every
+    Fraction-free Gauss-Jordan: the rows are scaled to integers and every
     elimination step stays in ``int`` (each new row divided by the gcd of
-    its entries), and each pivot row is divided by its pivot once at the
-    end.  The reduced form is unique, so this is the rational RREF.
+    its entries).  Each returned row is zero at every other pivot, so
+    dividing it by its own pivot gives the row of the rational RREF; that
+    division is left to the callers that need it.
     """
     mat = [_integer_row(row) for row in rows]
     pivots: list[int] = []
@@ -114,26 +115,33 @@ def _rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
         r += 1
         if r == len(mat):
             break
-    red = [[Fraction(x, row[p]) if x else _ZERO for x in row] for row, p in zip(mat, pivots)]
-    return red, pivots
+    return mat[:r], pivots
 
 
 def mat_rank(A: Matrix) -> int:
     return len(_rref(A)[0]) if A else 0
 
 
-def kernel_basis(A: Matrix, cols: int) -> list[Vec]:
-    """Basis of the null space of A acting on column vectors of length cols."""
+def kernel_basis(A: Matrix, cols: int) -> list[list[int]]:
+    """Integer basis of the null space of A acting on column vectors of length cols.
+
+    The vector of a free column f sets f to the lcm L of the pivots of
+    the rows that touch f, and each such pivot column p to -row[f] * L /
+    row[p]: a positive multiple of the rational vector with a 1 at f.
+    """
     if not A:
         return [[1 if j == i else 0 for j in range(cols)] for i in range(cols)]
     red, pivots = _rref(A)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
+    for f in range(cols):
+        if f in pivots:
+            continue
+        touching = [(row, p) for row, p in zip(red, pivots) if row[f]]
+        scale = lcm(*(row[p] for row, p in touching))
+        v = [0] * cols
+        v[f] = scale
+        for row, p in touching:
+            v[p] = -row[f] * (scale // row[p])
         basis.append(v)
     return basis
 
@@ -150,7 +158,7 @@ def solve_in_columns(columns: list[Vec], w: Vec) -> Vec | None:
         return None
     coeffs = [Fraction(0)] * ncols
     for row, p in zip(red, pivots):
-        coeffs[p] = row[-1]
+        coeffs[p] = Fraction(row[-1], row[p])
     return coeffs
 
 
@@ -859,6 +867,24 @@ def t_n_oracle(
             stable = windowed(history[-1])
             break
     return {"history": history, "stable": stable, "iterations": len(history) - 1}
+
+
+def t_n_expected(cells: list[Cell], n: int, degs: tuple[int, ...], window: int | None = None):
+    """The window and the dims ``t_n_oracle`` should stabilize to there.
+
+    That is the value of the degree-n truncation of the cells' sequence at
+    the point with the given letter degrees, with Koszul signs like the
+    realization layer.  The default window reaches two past the highest
+    degree of that value and of the point.  Returns (window, {degree: dim}).
+    """
+    from .exactpoly import dims_poly
+    from .symseq import evaluate
+
+    point = dims_poly({d: degs.count(d) for d in set(degs)})
+    value = evaluate(cells_sequence(cells).truncate(n), point, signed=True)
+    if window is None:
+        window = max(list(value.support()) + list(degs) + [0]) + 2
+    return window, {d: int(value.coeff(d)) for d in value.support() if d <= window}
 
 
 def cells_to_json(cells: list[Cell]) -> list[dict]:

@@ -9,6 +9,12 @@ and no timestamps, so a fixed ``RunConfig`` produces a byte-identical
 report; wall-clock times are returned separately for console display
 only.
 
+Every check runs on one ``_Check``: it holds the check's name, its
+generator (seeded by the run seed and that name), the instance count
+and the failures, and it draws the random pairs, records a failure, and
+compares two sequences entry by entry, recording the first entry where
+they differ with both sides' characters (``compare``).
+
 The ``mutate`` flag is a self-test of the harness: it feeds a corrupted
 composition product (a spurious two-letter summand) to every check that
 compares the product against an independently computed reference.
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .characters import GradedCharacter, induce_young
-from .exactpoly import TPoly, dims_poly
+from .exactpoly import TPoly
 from .functor import (
     co_cross_effect_eval,
     cross_effect_eval,
@@ -41,7 +47,7 @@ from .generate import (
     random_space,
     random_trivial_cells,
 )
-from .holim import Cell, cells_sequence, cells_to_json, t_n_oracle
+from .holim import Cell, cells_sequence, cells_to_json, t_n_expected, t_n_oracle
 from .partitions import bell_number, partitions_of, set_partition_count_check
 from .symfun import RationalSeries, egf_compose
 from .symseq import (
@@ -123,7 +129,7 @@ class Tally:
         self.count = 0
         self.violations: list[dict] = []
 
-    def add_seq(self, seq: SymSeq, upto: int, check: str, failures: list, cfg: "RunConfig"):
+    def add_seq(self, seq: SymSeq, upto: int, chk: _Check):
         for n in range(upto + 1):
             try:
                 chi = seq.entry(n)
@@ -132,364 +138,275 @@ class Tally:
             self.count += 1
             if not chi.is_genuine():
                 item = {
-                    "check": check,
+                    "check": chk.name,
                     "detail": f"entry {n} has a negative or fractional Schur multiplicity",
-                    "repro": _repro(cfg, check),
+                    "repro": chk.repro,
                 }
                 self.violations.append(item)
-                failures.append(item)
+                chk.failures.append(item)
 
 
-def _rng(cfg: RunConfig, name: str) -> random.Random:
-    # string seeding hashes via sha512, stable across processes
-    return random.Random(f"{cfg.seed}:{name}")
+class _Check:
+    """One check's run: its seeded draws, instance count and failures.
 
+    The generator is seeded by the run seed and the check's name, so
+    every check draws the same instances whichever checks run beside it.
+    """
 
-def _repro(cfg: RunConfig, name: str) -> str:
-    """The command line that reruns one check under the whole config."""
-    line = (f"functorcalc verify --seed {cfg.seed} --bound {cfg.bound} --pairs {cfg.pairs} "
-            f"--sign-mode {cfg.sign_mode} --budget {cfg.budget} --check {name}")
-    return line + " --mutate" if cfg.mutate else line
+    def __init__(self, cfg: RunConfig, tally: Tally, name: str):
+        self.cfg = cfg
+        self.tally = tally
+        self.name = name
+        # string seeding hashes via sha512, stable across processes
+        self.rng = random.Random(f"{cfg.seed}:{name}")
+        # the command line that reruns this check under the whole config
+        line = (f"functorcalc verify --seed {cfg.seed} --bound {cfg.bound} --pairs {cfg.pairs} "
+                f"--sign-mode {cfg.sign_mode} --budget {cfg.budget} --check {name}")
+        self.repro = line + " --mutate" if cfg.mutate else line
+        self.instances = 0
+        self.failures: list[dict] = []
 
+    def draw(self, *degrees: int) -> list:
+        """One random cell list per degree, then the sequence of each."""
+        cells = [random_cells(self.rng, d) for d in degrees]
+        return cells + [cells_sequence(cs) for cs in cells]
 
-def _record(name: str, claim: str, instances: int, failures: list) -> dict:
-    return {
-        "check": name,
-        "claim": claim,
-        "instances": instances,
-        "failures": failures,
-        "status": "pass" if not failures else "fail",
-    }
+    def fail(self, idx, signed: bool, f_cells, g_cells, detail: str, lhs=None, rhs=None):
+        """Record a failure on a pair of cell lists; lhs and rhs are the two
+        disagreeing entry characters, when there are any."""
+        record = {
+            "instance": idx,
+            "signed": signed,
+            "outer_cells": cells_to_json(f_cells),
+            "inner_cells": cells_to_json(g_cells),
+            "detail": detail,
+            "repro": self.repro,
+        }
+        if lhs is not None:
+            record["lhs"] = seq_to_json(SymSeq({lhs.n: lhs}))
+            record["rhs"] = seq_to_json(SymSeq({rhs.n: rhs}))
+        self.failures.append(record)
 
+    def compare(self, idx, signed: bool, f_cells, g_cells, lhs: SymSeq, rhs: SymSeq, upto: int,
+                what: str, where: str = "", certify: bool = True) -> bool:
+        """Compare two sequences on entries 0..upto; True when they agree.
 
-def _first_disagreement(lhs: SymSeq, rhs: SymSeq, upto: int) -> int | None:
-    for n in range(upto + 1):
-        if lhs.entry(n) != rhs.entry(n):
-            return n
-    return None
+        The first entry that differs is recorded as "<what> first at entry
+        n<where>", with both sides' entry n as one-entry sequence documents.
+        When they agree and certify is set, rhs goes to the genuineness tally.
+        """
+        for n in range(upto + 1):
+            if lhs.entry(n) != rhs.entry(n):
+                self.fail(idx, signed, f_cells, g_cells, f"{what} first at entry {n}{where}",
+                          lhs.entry(n), rhs.entry(n))
+                return False
+        if certify:
+            self.tally.add_seq(rhs, upto, self)
+        return True
 
-
-def _entry_values(lhs: SymSeq, rhs: SymSeq, n: int) -> dict:
-    """The two sides' entry n, each as a one-entry sequence document."""
-    return {"lhs": seq_to_json(SymSeq({n: lhs.entry(n)})),
-            "rhs": seq_to_json(SymSeq({n: rhs.entry(n)}))}
-
-
-def _pair_failure(cfg: RunConfig, name: str, idx: int, signed: bool, f_cells, g_cells, detail: str,
-                  values: dict | None = None) -> dict:
-    """A failure record; values carries the two disagreeing sides (``_entry_values``)."""
-    return {
-        "instance": idx,
-        "signed": signed,
-        "outer_cells": cells_to_json(f_cells),
-        "inner_cells": cells_to_json(g_cells),
-        "detail": detail,
-        "repro": _repro(cfg, name),
-        **(values or {}),
-    }
+    def record(self, claim: str) -> dict:
+        return {
+            "check": self.name,
+            "claim": claim,
+            "instances": self.instances,
+            "failures": self.failures,
+            "status": "pass" if not self.failures else "fail",
+        }
 
 
 # ---------------------------------------------------------------------------
 # the checks
 
 
-def _check_chain_rule_zero_base(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "chain-rule-zero-base"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_chain_rule_zero_base(chk: _Check, compose_fn) -> dict:
+    cfg = chk.cfg
     for signed, count in cfg.mode_counts(cfg.pairs):
         for i in range(count):
-            f_cells = random_cells(rng, cfg.bound)
-            g_cells = random_cells(rng, cfg.bound)
-            F, G = cells_sequence(f_cells), cells_sequence(g_cells)
+            f_cells, g_cells, F, G = chk.draw(cfg.bound, cfg.bound)
             lhs = composite_derivatives(F, G, cfg.bound, signed)
             rhs = compose_fn(F, G, signed=signed, bound=cfg.bound)
-            instances += 1
-            bad = _first_disagreement(lhs, rhs, cfg.bound)
-            if bad is not None:
-                failures.append(_pair_failure(
-                    cfg, name, i, signed, f_cells, g_cells,
-                    f"derivative route and product route differ first at entry {bad}",
-                    _entry_values(lhs, rhs, bad)))
-            else:
-                tally.add_seq(rhs, cfg.bound, name, failures, cfg)
-    return _record(
-        name,
+            chk.instances += 1
+            chk.compare(i, signed, f_cells, g_cells, lhs, rhs, cfg.bound,
+                        "derivative route and product route differ")
+    return chk.record(
         "derivative characters of a composite of reduced functors equal the "
-        "composition product of the two derivative sequences",
-        instances, failures)
+        "composition product of the two derivative sequences")
 
 
-def _check_chain_rule_general_base(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "chain-rule-general-base"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_chain_rule_general_base(chk: _Check, compose_fn) -> dict:
     window = 4
-    main_count = max(cfg.pairs // 4, 25)
+    main_count = max(chk.cfg.pairs // 4, 25)
     for i in range(main_count):
-        signed = cfg.alternate(i)
-        f_cells = random_cells(rng, 5)
-        g_cells = random_cells(rng, 5)
-        F, G = cells_sequence(f_cells), cells_sequence(g_cells)
-        X = random_space(rng, 2)
+        signed = chk.cfg.alternate(i)
+        f_cells, g_cells, F, G = chk.draw(5, 5)
+        X = random_space(chk.rng)
         lhs = composite_derivatives(F, G, window, signed, base=X)
         rhs = compose_around(F, G, X, signed, window, compose_fn)
-        instances += 1
-        bad = _first_disagreement(lhs, rhs, window)
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, g_cells,
-                f"trace route and shifted product route differ first at entry {bad} "
-                f"(base dims {X!r})", _entry_values(lhs, rhs, bad)))
-        else:
-            tally.add_seq(rhs, window, name, failures, cfg)
+        chk.instances += 1
+        chk.compare(i, signed, f_cells, g_cells, lhs, rhs, window,
+                    "trace route and shifted product route differ", f" (base dims {X!r})")
     # coefficient form: re-expanding the composite around X is the composite
     # of the re-expansions
     for i in range(12):
-        signed = cfg.alternate(i)
-        f_cells = random_cells(rng, 3)
-        g_cells = random_cells(rng, 3)
-        F, G = cells_sequence(f_cells), cells_sequence(g_cells)
-        X = random_space(rng, 2)
+        signed = chk.cfg.alternate(i)
+        f_cells, g_cells, F, G = chk.draw(3, 3)
+        X = random_space(chk.rng)
         shifted_composite = shift_base(compose_fn(F, G, signed=signed), X, signed)
         rhs = compose_around(F, G, X, signed, window, compose_fn)
-        instances += 1
-        bad = _first_disagreement(shifted_composite, rhs, window)
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i + main_count, signed, f_cells, g_cells,
-                f"re-expanded composite and composite of re-expansions differ "
-                f"first at entry {bad} (base dims {X!r})",
-                _entry_values(shifted_composite, rhs, bad)))
-    return _record(
-        name,
+        chk.instances += 1
+        chk.compare(i + main_count, signed, f_cells, g_cells, shifted_composite, rhs, window,
+                    "re-expanded composite and composite of re-expansions differ",
+                    f" (base dims {X!r})", certify=False)
+    return chk.record(
         "around any base, derivatives of a composite equal the composition "
-        "product of the base-shifted derivative sequences",
-        instances, failures)
+        "product of the base-shifted derivative sequences")
 
 
-def _check_path_agreement(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "composition-path-agreement"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_path_agreement(chk: _Check, compose_fn) -> dict:
     window = 8
-    for i in range(max(cfg.pairs // 2, 50)):
-        signed = cfg.alternate(i)
-        f_cells = random_cells(rng, 4)
-        g_cells = random_cells(rng, 4)
-        A, B = cells_sequence(f_cells), cells_sequence(g_cells)
+    for i in range(max(chk.cfg.pairs // 2, 50)):
+        signed = chk.cfg.alternate(i)
+        f_cells, g_cells, A, B = chk.draw(4, 4)
         lhs = compose_fn(A, B, signed=signed, bound=window)
         rhs = compose_plethysm(A, B, signed=signed, bound=window)
-        instances += 1
-        bad = _first_disagreement(lhs, rhs, window)
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, g_cells,
-                f"per-partition route and plethysm route differ first at entry {bad}",
-                _entry_values(lhs, rhs, bad)))
-        else:
-            tally.add_seq(lhs, window, name, failures, cfg)
-    return _record(
-        name,
+        chk.instances += 1
+        chk.compare(i, signed, f_cells, g_cells, lhs, rhs, window,
+                    "per-partition route and plethysm route differ")
+    return chk.record(
         "the per-partition induction route and the symmetric-function "
-        "plethysm route compute the same composition product",
-        instances, failures)
+        "plethysm route compute the same composition product")
 
 
-def _check_unit_laws(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "composition-unit-laws"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_unit_laws(chk: _Check, compose_fn) -> dict:
     one = unit_seq()
     for i in range(20):
-        signed = cfg.alternate(i)
-        a_cells = random_cells(rng, cfg.bound)
-        A = cells_sequence(a_cells)
-        instances += 1
+        signed = chk.cfg.alternate(i)
+        a_cells, A = chk.draw(chk.cfg.bound)
+        chk.instances += 1
         left = compose_fn(A, one, signed=signed)
         right = compose_fn(one, A, signed=signed)
         if left != A or right != A:
             side = "right" if left != A else "left"
-            failures.append(_pair_failure(
-                cfg, name, i, signed, a_cells, [],
-                f"composition with the one-letter identity on the {side} "
-                f"changed the sequence"))
-    return _record(
-        name,
+            chk.fail(i, signed, a_cells, [],
+                     f"composition with the one-letter identity on the {side} "
+                     f"changed the sequence")
+    return chk.record(
         "the one-letter identity sequence is a two-sided unit for the "
-        "composition product",
-        instances, failures)
+        "composition product")
 
 
-def _check_associativity(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "composition-associativity"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_associativity(chk: _Check, compose_fn) -> dict:
     window = 6
     for i in range(12):
-        signed = cfg.alternate(i)
-        a_cells = random_cells(rng, 3)
-        b_cells = random_cells(rng, 3)
-        c_cells = random_cells(rng, 3)
-        A, B, C = (cells_sequence(cs) for cs in (a_cells, b_cells, c_cells))
+        signed = chk.cfg.alternate(i)
+        a_cells, b_cells, c_cells, A, B, C = chk.draw(3, 3, 3)
         lhs = compose(compose(A, B, signed=signed, bound=window), C, signed=signed, bound=window)
         rhs = compose(A, compose(B, C, signed=signed, bound=window), signed=signed, bound=window)
-        instances += 1
-        bad = _first_disagreement(lhs, rhs, window)
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, a_cells, b_cells,
-                f"the two association orders differ first at entry {bad} "
-                f"(third factor {cells_to_json(c_cells)!r})", _entry_values(lhs, rhs, bad)))
-    return _record(
-        name,
-        "the composition product is associative on reduced sequences",
-        instances, failures)
+        chk.instances += 1
+        chk.compare(i, signed, a_cells, b_cells, lhs, rhs, window,
+                    "the two association orders differ",
+                    f" (third factor {cells_to_json(c_cells)!r})", certify=False)
+    return chk.record("the composition product is associative on reduced sequences")
 
 
-def _check_faa_di_bruno(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "faa-di-bruno-dimensions"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_faa_di_bruno(chk: _Check, compose_fn) -> dict:
     order = 10
     for i in range(8):
-        a_cells = random_trivial_cells(rng, 5)
-        b_cells = random_trivial_cells(rng, 5)
+        a_cells = random_trivial_cells(chk.rng, 5)
+        b_cells = random_trivial_cells(chk.rng, 5)
         A, B = cells_sequence(a_cells), cells_sequence(b_cells)
         composite = compose_fn(A, B, signed=False, bound=order)
         outer = RationalSeries([A.entry(n).dim_poly() for n in range(order + 1)])
         inner = RationalSeries([B.entry(n).dim_poly() for n in range(order + 1)])
         series = egf_compose(outer, inner)
-        instances += 1
+        chk.instances += 1
         mismatch = next(
             (n for n in range(order + 1) if composite.entry(n).dim_poly() != series.coeffs[n]),
             None)
         if mismatch is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, False, a_cells, b_cells,
-                f"graded dimension of the composite differs from the "
-                f"exponential-series composite first at entry {mismatch}"))
+            chk.fail(i, False, a_cells, b_cells,
+                     f"graded dimension of the composite differs from the "
+                     f"exponential-series composite first at entry {mismatch}")
         else:
-            tally.add_seq(composite, order, name, failures, cfg)
-    return _record(
-        name,
+            chk.tally.add_seq(composite, order, chk)
+    return chk.record(
         "graded dimensions of a composite follow composition of exponential "
-        "generating functions",
-        instances, failures)
+        "generating functions")
 
 
-def _check_set_partition_counts(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "set-partition-counts"
-    failures: list = []
-    instances = 0
+def _check_set_partition_counts(chk: _Check, compose_fn) -> dict:
     for n in range(13):
-        instances += 1
+        chk.instances += 1
         if bell_number(n) != BELL_FROZEN[n]:
-            failures.append({
+            chk.failures.append({
                 "instance": n,
                 "detail": f"recurrence value {bell_number(n)} differs from the "
                           f"frozen count {BELL_FROZEN[n]}",
-                "repro": _repro(cfg, name),
+                "repro": chk.repro,
             })
         if not set_partition_count_check(n):
-            failures.append({
+            chk.failures.append({
                 "instance": n,
                 "detail": "sum over partitions of n!/(automorphisms of the block "
                           "structure) missed the set-partition count",
-                "repro": _repro(cfg, name),
+                "repro": chk.repro,
             })
-    return _record(
-        name,
+    return chk.record(
         "summand index sets of the composition product are counted by the "
-        "Bell numbers",
-        instances, failures)
+        "Bell numbers")
 
 
-def _check_partition_summands(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "partition-summand-derivatives"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
-    for i in range(max(cfg.pairs // 4, 25)):
-        signed = cfg.alternate(i)
-        n = rng.randrange(1, 6)
+def _check_partition_summands(chk: _Check, compose_fn) -> dict:
+    for i in range(max(chk.cfg.pairs // 4, 25)):
+        signed = chk.cfg.alternate(i)
+        n = chk.rng.randrange(1, 6)
         classes = partitions_of(n)
-        lam = classes[rng.randrange(len(classes))]
-        f_cells = random_cells(rng, 5)
-        g_cells = random_cells(rng, 5)
-        F, G = cells_sequence(f_cells), cells_sequence(g_cells)
+        lam = classes[chk.rng.randrange(len(classes))]
+        f_cells, g_cells, F, G = chk.draw(5, 5)
         nmax = min(n + 1, 5)
         derivs = fgl_derivatives(F, G, lam, nmax, signed)
         expected = SymSeq({n: composition_summand(F, G, lam, signed)}, bound=nmax)
-        instances += 1
-        bad = _first_disagreement(derivs, expected, nmax)
-        if bad is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, g_cells,
-                f"derivatives of the {list(lam)!r}-summand functor differ from "
-                f"the induced summand character first at entry {bad}",
-                _entry_values(derivs, expected, bad)))
-        else:
-            tally.add_seq(derivs, nmax, name, failures, cfg)
-    return _record(
-        name,
+        chk.instances += 1
+        chk.compare(i, signed, f_cells, g_cells, derivs, expected, nmax,
+                    f"derivatives of the {list(lam)!r}-summand functor differ from "
+                    f"the induced summand character")
+    return chk.record(
         "each partition summand of the product is the full derivative "
-        "sequence of its one-summand functor, homogeneous in its arity",
-        instances, failures)
+        "sequence of its one-summand functor, homogeneous in its arity")
 
 
-def _check_layer_decomposition(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "layer-decomposition"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_layer_decomposition(chk: _Check, compose_fn) -> dict:
     window = 5
     for i in range(12):
-        signed = cfg.alternate(i)
-        f_cells = random_cells(rng, window)
-        g_cells = random_cells(rng, window)
-        F, G = cells_sequence(f_cells), cells_sequence(g_cells)
+        signed = chk.cfg.alternate(i)
+        f_cells, g_cells, F, G = chk.draw(window, window)
         composite = compose_fn(F, G, signed=signed, bound=window)
-        instances += 1
+        chk.instances += 1
         for n in range(1, window + 1):
             total = GradedCharacter.zero(n)
             for lam in partitions_of(n):
                 total = total + fgl_derivatives(F, G, lam, n, signed).entry(n)
             if total != composite.entry(n):
-                failures.append(_pair_failure(
-                    cfg, name, i, signed, f_cells, g_cells,
-                    f"sum of summand derivative characters differs from the "
-                    f"product entry first at arity {n}",
-                    _entry_values(SymSeq({n: total}), composite, n)))
+                chk.fail(i, signed, f_cells, g_cells,
+                         f"sum of summand derivative characters differs from the "
+                         f"product entry first at arity {n}", total, composite.entry(n))
                 break
         else:
-            tally.add_seq(composite, window, name, failures, cfg)
-    return _record(
-        name,
+            chk.tally.add_seq(composite, window, chk)
+    return chk.record(
         "each layer of a composite decomposes as the direct sum of its "
-        "partition summands, summand characters computed by traces",
-        instances, failures)
+        "partition summands, summand characters computed by traces")
 
 
-def _check_homogeneous_tower(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "homogeneous-tower-values"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_homogeneous_tower(chk: _Check, compose_fn) -> dict:
     for i in range(10):
-        signed = cfg.alternate(i)
-        k = rng.randrange(1, 4)
-        f_cells = random_homogeneous_cells(rng, k)
-        g_cells = random_cells(rng, 4)
+        signed = chk.cfg.alternate(i)
+        k = chk.rng.randrange(1, 4)
+        f_cells = random_homogeneous_cells(chk.rng, k)
+        g_cells = random_cells(chk.rng, 4)
         F, G = cells_sequence(f_cells), cells_sequence(g_cells)
-        X = random_space(rng, 2)
-        instances += 1
+        X = random_space(chk.rng)
+        chk.instances += 1
         bad_detail = None
         for n in range(k, 7):
             composite = compose_fn(F, G, signed=signed, bound=n)
@@ -508,150 +425,108 @@ def _check_homogeneous_tower(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
                 bad_detail = f"layer {n} summand-sum value differs from the product layer value"
                 break
         if bad_detail is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, g_cells,
-                bad_detail + f" (base dims {X!r})"))
-    return _record(
-        name,
+            chk.fail(i, signed, f_cells, g_cells, bad_detail + f" (base dims {X!r})")
+    return chk.record(
         "for a homogeneous outer functor, tower stages computed as split "
-        "limits over the coarsening poset match truncations of the product",
-        instances, failures)
+        "limits over the coarsening poset match truncations of the product")
 
 
-def _check_tower_stage_squares(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "tower-stage-squares"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_tower_stage_squares(chk: _Check, compose_fn) -> dict:
     idx = 0
     for stage in (1, 2, 3):
         for _ in range(3):
-            signed = cfg.alternate(idx)
-            f_cells = random_cells(rng, 3)
-            g_cells = random_cells(rng, 3)
-            F, G = cells_sequence(f_cells), cells_sequence(g_cells)
-            X = random_space(rng, 2)
-            instances += 1
+            signed = chk.cfg.alternate(idx)
+            f_cells, g_cells, F, G = chk.draw(3, 3)
+            X = random_space(chk.rng)
+            chk.instances += 1
             value = tower_stage_square_value(F, G, stage, X, signed)
             expected = evaluate(compose_fn(F, G, signed=signed, bound=stage).truncate(stage), X, signed)
             if value != expected:
-                failures.append(_pair_failure(
-                    cfg, name, idx, signed, f_cells, g_cells,
-                    f"stage-{stage} limit over the arrow diagram differs from "
-                    f"the truncated product value (base dims {X!r})"))
+                chk.fail(idx, signed, f_cells, g_cells,
+                         f"stage-{stage} limit over the arrow diagram differs from "
+                         f"the truncated product value (base dims {X!r})")
             idx += 1
     # degenerate shapes: a linear outer functor collapses the diagram to one
     # corner; the identity inner functor gives plain truncation
     linear = cells_sequence([Cell((1,))])
-    g_cells = random_cells(rng, 3)
-    G = cells_sequence(g_cells)
-    X = random_space(rng, 2)
-    instances += 1
+    g_cells, G = chk.draw(3)
+    X = random_space(chk.rng)
+    chk.instances += 1
     if tower_stage_square_value(linear, G, 3, X, False) != evaluate(
             compose_fn(linear, G, signed=False, bound=3).truncate(3), X, False):
-        failures.append(_pair_failure(
-            cfg, name, idx, False, [Cell((1,))], g_cells,
-            "linear outer functor: diagram value differs from the truncated product"))
+        chk.fail(idx, False, [Cell((1,))], g_cells,
+                 "linear outer functor: diagram value differs from the truncated product")
     idx += 1
-    f_cells = random_cells(rng, 3)
-    F = cells_sequence(f_cells)
-    instances += 1
+    f_cells, F = chk.draw(3)
+    chk.instances += 1
     if tower_stage_square_value(F, linear, 2, X, False) != truncation_value(F, 2, X, False):
-        failures.append(_pair_failure(
-            cfg, name, idx, False, f_cells, [Cell((1,))],
-            "identity inner functor: diagram value differs from plain truncation"))
-    return _record(
-        name,
+        chk.fail(idx, False, f_cells, [Cell((1,))],
+                 "identity inner functor: diagram value differs from plain truncation")
+    return chk.record(
         "tower stages of a composite through stage three arise as limits of "
-        "the documented stage diagrams of smaller stages and layers",
-        instances, failures)
+        "the documented stage diagrams of smaller stages and layers")
 
 
-def _check_truncation_identities(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "truncation-identities"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
-    for i in range(max(cfg.pairs // 2, 50)):
-        signed = cfg.alternate(i)
-        n = rng.randrange(1, 7)
-        a_cells = random_cells(rng, 4)
-        b_cells = random_cells(rng, 4)
-        A, B = cells_sequence(a_cells), cells_sequence(b_cells)
-        instances += 1
+def _check_truncation_identities(chk: _Check, compose_fn) -> dict:
+    for i in range(max(chk.cfg.pairs // 2, 50)):
+        signed = chk.cfg.alternate(i)
+        n = chk.rng.randrange(1, 7)
+        a_cells, b_cells, A, B = chk.draw(4, 4)
+        chk.instances += 1
         full = compose(A, B, signed=signed, bound=n)
         left = compose(A.truncate(n), B, signed=signed, bound=n)
         right = compose(A, B.truncate(n), signed=signed, bound=n)
         for truncated in (left, right):
-            bad = _first_disagreement(full, truncated, n)
-            if bad is not None:
-                failures.append(_pair_failure(
-                    cfg, name, i, signed, a_cells, b_cells,
-                    f"truncating a factor at {n} changed the composite window "
-                    f"first at entry {bad}", _entry_values(full, truncated, bad)))
+            if not chk.compare(i, signed, a_cells, b_cells, full, truncated, n,
+                               f"truncating a factor at {n} changed the composite window",
+                               certify=False):
                 break
     # a linear outer functor commutes with truncation on the nose
     for i in range(12):
-        signed = cfg.alternate(i)
-        n = rng.randrange(1, 7)
-        lin_cells = [Cell((1,), sign=False, degree=rng.randrange(0, 2))]
-        g_cells = random_cells(rng, 4)
-        L, G = cells_sequence(lin_cells), cells_sequence(g_cells)
-        instances += 1
+        signed = chk.cfg.alternate(i)
+        n = chk.rng.randrange(1, 7)
+        lin_cells = [Cell((1,), sign=False, degree=chk.rng.randrange(0, 2))]
+        g_cells, G = chk.draw(4)
+        L = cells_sequence(lin_cells)
+        chk.instances += 1
         whole = compose(L, G.truncate(n), signed=signed)
         windowed = compose(L, G, signed=signed, bound=n)
-        if whole.degree() > n or _first_disagreement(whole, windowed, n) is not None:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, lin_cells, g_cells,
-                f"linear outer functor does not commute with truncation at {n}"))
-    return _record(
-        name,
+        if whole.degree() > n or any(whole.entry(k) != windowed.entry(k) for k in range(n + 1)):
+            chk.fail(i, signed, lin_cells, g_cells,
+                     f"linear outer functor does not commute with truncation at {n}")
+    return chk.record(
         "truncating the composite equals truncating either factor first, "
-        "and a linear outer functor commutes with truncation exactly",
-        instances, failures)
+        "and a linear outer functor commutes with truncation exactly")
 
 
-def _check_cross_effects(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "cross-effects"
-    rng = _rng(cfg, name)
-    failures: list = []
-    instances = 0
+def _check_cross_effects(chk: _Check, compose_fn) -> dict:
     for i in range(24):
-        signed = cfg.alternate(i)
-        r = rng.randrange(1, 4)
-        f_cells = random_cells(rng, 4)
-        F = cells_sequence(f_cells)
-        spaces = [random_space(rng, 2) for _ in range(r)]
-        instances += 1
+        signed = chk.cfg.alternate(i)
+        r = chk.rng.randrange(1, 4)
+        f_cells, F = chk.draw(4)
+        spaces = [random_space(chk.rng) for _ in range(r)]
+        chk.instances += 1
         lhs = cross_effect_eval(F, spaces, signed)
         rhs = co_cross_effect_eval(F, spaces, signed)
         if lhs != rhs:
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, [],
-                f"{r}-variable cross effect and dual route disagree"))
+            chk.fail(i, signed, f_cells, [], f"{r}-variable cross effect and dual route disagree")
             continue
         zeroed = list(spaces)
-        zeroed[rng.randrange(r)] = TPoly.zero()
+        zeroed[chk.rng.randrange(r)] = TPoly.zero()
         if cross_effect_eval(F, zeroed, signed) != TPoly.zero():
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, [],
-                f"{r}-variable cross effect fails to vanish on a zero slot"))
+            chk.fail(i, signed, f_cells, [],
+                     f"{r}-variable cross effect fails to vanish on a zero slot")
     # above the degree every cross effect vanishes
     for i in range(6):
-        signed = cfg.alternate(i)
-        f_cells = random_cells(rng, 2)
-        F = cells_sequence(f_cells)
-        spaces = [random_space(rng, 2) for _ in range(3)]
-        instances += 1
+        signed = chk.cfg.alternate(i)
+        f_cells, F = chk.draw(2)
+        spaces = [random_space(chk.rng) for _ in range(3)]
+        chk.instances += 1
         if cross_effect_eval(F, spaces, signed) != TPoly.zero():
-            failures.append(_pair_failure(
-                cfg, name, i, signed, f_cells, [],
-                "3-variable cross effect of a degree-2 functor is nonzero"))
-    return _record(
-        name,
+            chk.fail(i, signed, f_cells, [], "3-variable cross effect of a degree-2 functor is nonzero")
+    return chk.record(
         "multilinear cross effects computed by inclusion-exclusion match "
-        "the dual route and vanish beyond the degree",
-        instances, failures)
+        "the dual route and vanish beyond the degree")
 
 
 #: Fixed instances for the approximation oracle: (label, cells, n, point dims).
@@ -685,20 +560,13 @@ ORACLE_INSTANCES: tuple = (
 )
 
 
-def _check_excisive_oracle(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "excisive-approximation-oracle"
-    failures: list = []
-    instances = 0
+def _check_excisive_oracle(chk: _Check, compose_fn) -> dict:
     for label, cells, n, degs in ORACLE_INSTANCES:
-        instances += 1
-        seq = cells_sequence(list(cells))
-        point = dims_poly({d: degs.count(d) for d in set(degs)})
-        expected_poly = evaluate(seq.truncate(n), point, signed=True)
-        window = max(list(expected_poly.support()) + list(degs) + [0]) + 2
-        out = t_n_oracle(list(cells), n, degs, window=window, max_iter=12, budget=cfg.budget)
-        expected = {d: int(expected_poly.coeff(d)) for d in expected_poly.support() if d <= window}
+        chk.instances += 1
+        window, expected = t_n_expected(list(cells), n, degs)
+        out = t_n_oracle(list(cells), n, degs, window=window, max_iter=12, budget=chk.cfg.budget)
         if out["stable"] != expected:
-            failures.append({
+            chk.failures.append({
                 "instance": label,
                 "cells": cells_to_json(list(cells)),
                 "excision_degree": n,
@@ -706,26 +574,19 @@ def _check_excisive_oracle(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
                 "detail": f"stable window dims {out['stable']!r} differ from the "
                           f"truncated evaluation {expected!r} "
                           f"(history {out['history']!r})",
-                "repro": _repro(cfg, name),
+                "repro": chk.repro,
             })
-    return _record(
-        name,
+    return chk.record(
         "iterating the join-based approximation stabilizes on every window "
-        "of degrees to the value of the truncated functor",
-        instances, failures)
+        "of degrees to the value of the truncated functor")
 
 
-def _check_genuineness(cfg: RunConfig, compose_fn, tally: Tally) -> dict:
-    name = "schur-genuineness"
-    failures = [dict(v) for v in tally.violations]
-    return {
-        "check": name,
-        "claim": "every character derived by the battery has nonnegative "
-                 "integer multiplicities in the irreducible basis",
-        "instances": tally.count,
-        "failures": failures,
-        "status": "pass" if not failures else "fail",
-    }
+def _check_genuineness(chk: _Check, compose_fn) -> dict:
+    chk.instances = chk.tally.count
+    chk.failures.extend(dict(v) for v in chk.tally.violations)
+    return chk.record(
+        "every character derived by the battery has nonnegative integer "
+        "multiplicities in the irreducible basis")
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +652,7 @@ def run_battery(config: RunConfig, check_names=None, log=None):
     for name, runner, targeted in selected:
         fn = corrupted_compose if (config.mutate and targeted) else compose
         start = perf_counter()
-        record = runner(config, fn, tally)
+        record = runner(_Check(config, tally, name), fn)
         times[name] = perf_counter() - start
         records.append(record)
         if log is not None:

@@ -6,6 +6,7 @@ exceeded.  Report files must be byte-identical across runs with the
 same configuration.
 """
 
+import hashlib
 import json
 import random
 import shlex
@@ -25,6 +26,7 @@ from functorcalc.symseq import (
     space_from_json,
     space_to_json,
 )
+from functorcalc.verify import MUTATION_TARGETED
 
 
 def write_seq(path, cells, with_cells=False):
@@ -303,11 +305,12 @@ def test_verify_mutation_flips_targeted_check(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_repro_line_replays_its_failure(tmp_path, capsys):
+@pytest.mark.parametrize("check", sorted(MUTATION_TARGETED))
+def test_repro_line_replays_its_failure(check, tmp_path, capsys):
     # a failure from a run with non-default knobs must come back, record for
     # record, from the command line it carries
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "--check", "chain-rule-zero-base", "--mutate", "--bound", "3",
+    assert main(["verify", "--check", check, "--mutate", "--bound", "3",
                  "--pairs", "3", "--sign-mode", "unsigned", "--budget", "5000",
                  "--json-out", str(first)]) == 1
     failures = json.loads(first.read_text())["checks"][0]["failures"]
@@ -343,13 +346,20 @@ def test_failure_records_carry_both_disagreeing_entries(tmp_path, capsys):
     capsys.readouterr()
 
 
+#: sha256 of the ``--pairs 5 --mutate`` report as ``verify --json-out`` writes
+#: it.  The default report has no failures, so this pins the failure records.
+MUTATED_REPORT_SHA256 = "2ae9108641aad11161a57d06172fb9f7e6e24459f38701c21423dcb338df3a7f"
+
+
 def test_mutation_flips_exactly_the_targeted_checks():
-    from functorcalc.verify import MUTATION_TARGETED, RunConfig, run_battery
+    from functorcalc.verify import RunConfig, run_battery
 
     report, _ = run_battery(RunConfig(pairs=5, mutate=True))
     failing = {r["check"] for r in report["checks"] if r["status"] == "fail"}
     assert failing == MUTATION_TARGETED
     assert report["status"] == "fail"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == MUTATED_REPORT_SHA256
 
 
 def test_module_entry_point_runs():

@@ -107,7 +107,12 @@ def test_rref_matches_plain_gauss_jordan():
     shapes += [(rng.randint(1, 4), rng.randint(8, 14)) for _ in range(100)]  # wide
     for rows, cols in shapes:
         A = _random_matrix(rng, rows, cols)
-        assert _rref(A) == _plain_rref(A), A
+        red, pivots = _rref(A)
+        assert all(type(x) is int for row in red for x in row)
+        # each integer row is zero at the other pivots; dividing by its own
+        # pivot gives the rational RREF
+        reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(red, pivots)]
+        assert (reduced, pivots) == _plain_rref(A), A
     for rows, cols in [(1, 1), (3, 5), (6, 2)]:
         zero = [[0] * cols for _ in range(rows)]
         assert _rref(zero) == ([], [])
@@ -119,7 +124,14 @@ def test_rref_matches_plain_gauss_jordan():
         assert mat_rank(A) == len(red)
         ker = kernel_basis(A, cols)
         assert len(ker) == cols - len(pivots)
+        assert all(type(x) is int for v in ker for x in v)
         assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in A for v in ker)
+        # each vector is a positive multiple of the rational one with a 1 at its free column
+        for f, v in zip([c for c in range(cols) if c not in pivots], ker):
+            plain = [Fraction(int(j == f)) for j in range(cols)]
+            for row, p in zip(red, pivots):
+                plain[p] = -row[f]
+            assert v[f] > 0 and [Fraction(x, v[f]) for x in v] == plain
 
 
 def _greedy_keep(chosen, candidates):
