@@ -1,20 +1,18 @@
 """Limits of diagrams of graded spaces, exactly, and the telescope oracle.
 
-Three engines, in increasing strength:
+Two engines:
 
 * ``split_limit``: diagrams whose maps are label-preserving projections
   (every object is a sum of labelled summands, each arrow keeps a subset
   of the source labels and is the identity on those).  The limit is read
   off combinatorially: each label contributes one copy per connected
   component of the set of objects carrying it.
-* ``linear_limit``: the plain (underived) limit of an arbitrary diagram
-  of graded spaces — the kernel of the difference map.  This is NOT a
-  homotopy limit; tests document where the two disagree.
-* ``derived_limits`` / ``PosetDiagramValue``: the genuine thing.  Over a finite
-  poset shape the homotopy limit of a diagram of graded spaces has
-  degree-d part equal to the direct sum over i of the i-th derived limit
-  of the degree-(d+i) parts, computed from the cochain complex over
-  strictly increasing chains of the shape.
+* ``CubeLimit``: the homotopy limit of a punctured cube of graded
+  spaces.  Its degree-d part is the direct sum over i of the i-th
+  cohomology of the cubical total complex of the degree-(d+i) parts,
+  which has one summand per vertex and one map per one-element
+  inclusion.  The tests check it against the cochain complex over the
+  chains of the nerve, a brute-force oracle with one summand per chain.
 
 On top of the engines, this module realizes functors by honest bases and
 matrices (``RealFunctor``: sums of row-tabloid cells with optional sign
@@ -49,28 +47,6 @@ Matrix = list  # list of rows; rows x cols = target dim x source dim
 
 def mat_zero(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def mat_identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("shape mismatch")
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = mat_zero(rows, cols)
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                oi = out[i]
-                for j in range(cols):
-                    if Bk[j]:
-                        oi[j] += a * Bk[j]
-    return out
 
 
 def _integer_row(row: Vec) -> list[int]:
@@ -263,62 +239,7 @@ def split_limit(diagram: SplitDiagram) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# plain (underived) linear limits
-
-
-def linear_limit(spaces: dict, maps: dict) -> dict[int, int]:
-    """Dimensions per degree of the kernel of the difference map.
-
-    spaces: object -> {degree: dim}; maps: (src, tgt) -> {degree: Matrix}.
-    This computes sections on the nose (the zeroth derived limit only).
-    """
-    degrees = sorted({d for dims in spaces.values() for d in dims})
-    objects = sorted(spaces, key=repr)
-    out: dict[int, int] = {}
-    for deg in degrees:
-        dims = {x: spaces[x].get(deg, 0) for x in objects}
-        offsets = {}
-        total = 0
-        for x in objects:
-            offsets[x] = total
-            total += dims[x]
-        rows: list[Vec] = []
-        for (src, tgt), blocks in maps.items():
-            block = blocks.get(deg, mat_zero(dims[tgt], dims[src]))
-            for i in range(dims[tgt]):
-                row = [0] * total
-                row[offsets[tgt] + i] = -1
-                for j in range(dims[src]):
-                    row[offsets[src] + j] += block[i][j]
-                rows.append(row)
-        dim = total - mat_rank(rows) if rows else total
-        if dim:
-            out[deg] = dim
-    return out
-
-
-# ---------------------------------------------------------------------------
-# derived limits over a finite poset shape
-
-
-def _chains(objects: list, rel: set[tuple], max_len: int) -> list[list[tuple]]:
-    """Strictly increasing chains per length; rel holds (smaller, larger) pairs."""
-    for x, y in list(rel):
-        for z, w in list(rel):
-            if y == z and (x, w) not in rel:
-                raise ValueError(f"relation is not transitive at {x} -> {y} -> {w}")
-    chains: list[list[tuple]] = [[(x,) for x in objects]]
-    while len(chains) <= max_len:
-        nxt = []
-        for chain in chains[-1]:
-            last = chain[-1]
-            for y in objects:
-                if (last, y) in rel:
-                    nxt.append(chain + (y,))
-        if not nxt:
-            break
-        chains.append(nxt)
-    return chains
+# homotopy limits of punctured cubes
 
 
 class DegreeComplex:
@@ -342,27 +263,31 @@ class DegreeComplex:
             self.levels.append(Subquotient(dims[p], ker, im))
 
 
-class PosetDiagramValue:
-    """Homotopy limit of a poset diagram of graded spaces, with chosen bases.
+class CubeLimit:
+    """Homotopy limit of a punctured cube of graded spaces, with chosen bases.
 
-    spaces: object -> tuple of basis degrees; maps: (x, y) -> Matrix for
-    every related pair x < y (maps must be closed under composition —
-    callers supply them directly).  The degree-d part of the value is the
-    sum over i of the i-th cohomology of the chain complex of the
-    degree-(d+i) slices.
+    subsets: the nonempty subsets of a finite set, as sorted tuples;
+    spaces: subset -> tuple of basis degrees; maps: (U, V) -> Matrix for
+    every one-element inclusion U < V (other pairs are not read).  The
+    degree-d part of the value is the sum over i of the i-th cohomology of
+    the cubical total complex of the degree-(d+i) slices: its degree-p
+    term is the sum of the slices at the subsets U with |U| = p + 1, and
+    its differential sends the U-summand to each V = U + {x} by (-1)^k
+    times the map, k the position of x in V (Munson and Volic, *Cubical
+    Homotopy Theory*, on homotopy limits of punctured cubes).  Each vertex
+    is one summand, so the complexes of all slices together are exactly as
+    large as the spaces.
     """
 
-    def __init__(self, objects: list, rel_maps: dict, spaces: dict):
-        self.objects = sorted(objects, key=repr)
-        self.spaces = spaces
-        self.rel_maps = rel_maps
-        rel = set(rel_maps)
-        self.chain_lists = _chains(self.objects, rel, max_len=len(self.objects))
-        self.all_degrees = sorted({d for degs in spaces.values() for d in degs})
-        self.complexes: dict[int, DegreeComplex] = {}
-        self.layouts: dict[int, list[tuple[int, int]]] = {}
-        for e in self.all_degrees:
-            self.complexes[e] = self._build_complex(e)
+    def __init__(self, subsets: list, maps: dict, spaces: dict):
+        top = max(len(u) for u in subsets)
+        self.levels = [[u for u in subsets if len(u) == p + 1] for p in range(top)]
+        self.slices: dict = {u: {} for u in subsets}  # vertex -> degree -> basis positions
+        for u in subsets:
+            for j, d in enumerate(spaces[u]):
+                self.slices[u].setdefault(d, []).append(j)
+        degrees = sorted({d for degs in spaces.values() for d in degs})
+        self.complexes = {e: self._build_complex(e, maps) for e in degrees}
         # basis layout of the value: per output degree d, blocks (e, i)
         self.dims: dict[int, int] = {}
         layout: dict[int, list[tuple[int, int]]] = {}
@@ -374,54 +299,37 @@ class PosetDiagramValue:
                     self.dims[d] = self.dims.get(d, 0) + level.dim
         self.layouts = {d: sorted(blocks) for d, blocks in layout.items()}
 
-    def _slice_dims(self, e: int) -> dict:
-        return {x: sum(1 for d in self.spaces[x] if d == e) for x in self.objects}
+    def _positions(self, u, e: int) -> list[int]:
+        return self.slices[u].get(e, [])
 
-    def _slice_positions(self, x, e: int) -> list[int]:
-        return [j for j, d in enumerate(self.spaces[x]) if d == e]
-
-    def _slice_map(self, pair, e: int) -> Matrix:
-        src, tgt = pair
-        m = self.rel_maps[pair]
-        rows = self._slice_positions(tgt, e)
-        cols = self._slice_positions(src, e)
-        return [[m[i][j] for j in cols] for i in rows]
-
-    def _build_complex(self, e: int) -> DegreeComplex:
-        sdims = self._slice_dims(e)
-        chain_dims: list[int] = []
+    def _build_complex(self, e: int, maps: dict) -> DegreeComplex:
+        dims: list[int] = []
         offsets: list[dict] = []
-        for chains in self.chain_lists:
+        for level in self.levels:
             offs = {}
             total = 0
-            for chain in chains:
-                offs[chain] = total
-                total += sdims[chain[-1]]
+            for u in level:
+                offs[u] = total
+                total += len(self._positions(u, e))
             offsets.append(offs)
-            chain_dims.append(total)
+            dims.append(total)
         diffs: list[Matrix] = []
-        for p in range(len(self.chain_lists) - 1):
-            mat = mat_zero(chain_dims[p + 1], chain_dims[p])
-            for chain in self.chain_lists[p + 1]:
-                row0 = offsets[p + 1][chain]
-                # face maps dropping one object; dropping the last applies the arrow
-                for omit in range(len(chain)):
-                    face = chain[:omit] + chain[omit + 1 :]
-                    if len(face) != len(chain) - 1 or face not in offsets[p]:
-                        continue
-                    sign = -1 if omit % 2 else 1
-                    col0 = offsets[p][face]
-                    if omit < len(chain) - 1:
-                        for j in range(sdims[chain[-1]]):
-                            mat[row0 + j][col0 + j] += sign
-                    else:
-                        block = self._slice_map((chain[-2], chain[-1]), e)
-                        for i in range(sdims[chain[-1]]):
-                            for j in range(sdims[chain[-2]]):
-                                if block[i][j]:
-                                    mat[row0 + i][col0 + j] += sign * block[i][j]
+        for p in range(len(self.levels) - 1):
+            mat = mat_zero(dims[p + 1], dims[p])
+            for v in self.levels[p + 1]:
+                rows = self._positions(v, e)
+                for k in range(len(v)):
+                    u = v[:k] + v[k + 1 :]
+                    cols = self._positions(u, e)
+                    m = maps[(u, v)]
+                    sign = -1 if k % 2 else 1
+                    r0, c0 = offsets[p + 1][v], offsets[p][u]
+                    for bi, i in enumerate(rows):
+                        for bj, j in enumerate(cols):
+                            if m[i][j]:
+                                mat[r0 + bi][c0 + bj] = sign * m[i][j]
             diffs.append(mat)
-        return DegreeComplex(chain_dims, diffs)
+        return DegreeComplex(dims, diffs)
 
     def value_degrees(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -429,82 +337,48 @@ class PosetDiagramValue:
             out.extend([d] * self.dims[d])
         return tuple(out)
 
-    def induced_map(self, other: "PosetDiagramValue", object_maps: dict) -> Matrix:
+    def induced_map(self, other: "CubeLimit", object_maps: dict) -> Matrix:
         """Matrix of the map of limits induced by object_maps: self -> other.
 
-        object_maps[x] is a matrix from self.spaces[x] to other.spaces[x];
-        the diagrams must have the same shape and commuting squares (any
+        object_maps[U] is a matrix from self's space at U to other's; the
+        cubes must have the same vertices and commuting squares (any
         failure surfaces as a vector falling outside a kernel span).
         """
-        src_degs = self.value_degrees()
-        tgt_degs = other.value_degrees()
-        out = mat_zero(len(tgt_degs), len(src_degs))
-        col = 0
+        out = mat_zero(len(other.value_degrees()), len(self.value_degrees()))
         tgt_offsets: dict[tuple[int, int], int] = {}
         pos = 0
         for d in sorted(other.layouts):
             for block in other.layouts[d]:
                 tgt_offsets[block] = pos
                 pos += other.complexes[block[0]].levels[block[1]].dim
+        col = 0
         for d in sorted(self.layouts):
             for (e, i) in self.layouts[d]:
-                level = self.complexes[e].levels[i]
-                for rep in level.reps:
-                    # push the representative through the cochain map at (e, i)
-                    pushed = self._push_chain_vector(other, object_maps, e, i, rep)
-                    if (e, i) in tgt_offsets:
-                        coords = other.complexes[e].levels[i].coords(pushed)
-                        base = tgt_offsets[(e, i)]
-                        for r, val in enumerate(coords):
+                reps = self.complexes[e].levels[i].reps
+                # a missing target block means that cohomology vanishes;
+                # the pushed cocycles are then boundaries and map to zero
+                if (e, i) in tgt_offsets:
+                    target = other.complexes[e].levels[i]
+                    base = tgt_offsets[(e, i)]
+                    for c, rep in enumerate(reps):
+                        pushed = self._push(other, object_maps, e, i, rep)
+                        for r, val in enumerate(target.coords(pushed)):
                             if val:
-                                out[base + r][col] = val
-                    # a missing target block means that cohomology vanishes;
-                    # the pushed cocycle is then a boundary and maps to zero
-                    col += 1
+                                out[base + r][col + c] = val
+                col += len(reps)
         return out
 
-    def _push_chain_vector(self, other: "PosetDiagramValue", object_maps, e: int, p: int, vec: Vec) -> Vec:
-        src_sdims = self._slice_dims(e)
-        tgt_sdims = other._slice_dims(e)
-        src_off = {}
-        total = 0
-        for chain in self.chain_lists[p]:
-            src_off[chain] = total
-            total += src_sdims[chain[-1]]
-        tgt_off = {}
-        total_t = 0
-        for chain in other.chain_lists[p]:
-            tgt_off[chain] = total_t
-            total_t += tgt_sdims[chain[-1]]
-        out = [Fraction(0)] * total_t
-        for chain in self.chain_lists[p]:
-            s0 = src_off[chain]
-            piece = vec[s0 : s0 + src_sdims[chain[-1]]]
-            if not any(piece):
-                continue
-            x = chain[-1]
-            block_rows = other._slice_positions(x, e)
-            block_cols = self._slice_positions(x, e)
-            m = object_maps[x]
-            t0 = tgt_off[chain]
-            for bi, i in enumerate(block_rows):
-                acc = Fraction(0)
-                for bj, j in enumerate(block_cols):
-                    if m[i][j] and piece[bj]:
-                        acc += m[i][j] * piece[bj]
-                out[t0 + bi] += acc
+    def _push(self, other: "CubeLimit", object_maps: dict, e: int, p: int, vec: Vec) -> Vec:
+        """A degree-p cochain of the e slice through the object maps, vertex by vertex."""
+        out: Vec = []
+        start = 0
+        for u in self.levels[p]:
+            cols = self._positions(u, e)
+            piece = vec[start : start + len(cols)]
+            start += len(cols)
+            m = object_maps[u]
+            out.extend(sum(m[i][j] * x for j, x in zip(cols, piece) if x) for i in other._positions(u, e))
         return out
-
-
-def derived_limits(objects: list, rel_maps: dict, spaces: dict) -> dict[int, dict[int, int]]:
-    """Dimensions of the i-th derived limits per degree: {degree: {i: dim}}."""
-    value = PosetDiagramValue(objects, rel_maps, spaces)
-    out: dict[int, dict[int, int]] = {}
-    for e, cx in value.complexes.items():
-        for i, level in enumerate(cx.levels):
-            if level.dim:
-                out.setdefault(e, {})[i] = level.dim
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +591,11 @@ def join_inclusion(u: tuple[int, ...], v: tuple[int, ...], nx: int) -> Matrix:
 
 
 class TnValue:
-    """Value of an excisive approximation: a poset-limit value plus caches."""
+    """Value of an excisive approximation: a punctured-cube limit plus caches."""
 
     __slots__ = ("degs", "limit", "inner_values", "dims")
 
-    def __init__(self, degs, limit: PosetDiagramValue, inner_values: dict):
+    def __init__(self, degs, limit: CubeLimit, inner_values: dict):
         self.degs = degs
         self.limit = limit
         self.inner_values = inner_values
@@ -734,8 +608,10 @@ class TnFunctor:
     """The homotopy limit of F(U * X) over nonempty U in a (n+1)-point set.
 
     Wraps any functor exposing evaluate/induced; wrapping its own output
-    iterates the construction.  A budget caps the total basis sizes that
-    may be materialized.
+    iterates the construction.  A budget caps the total basis size of the
+    values F(U * X), summed over the vertices U; the cubical complexes
+    have one summand per vertex, so the same total bounds the chain
+    complexes whose cohomology is the value.
     """
 
     def __init__(self, inner, n: int, budget: int = 200000):
@@ -769,16 +645,17 @@ class TnFunctor:
             total += len(val.degs)
             if total > self.budget:
                 raise BudgetError(f"evaluation size {total} exceeds budget {self.budget}")
-        rel_maps = {}
+        maps = {}
         nx = len(degs)
-        for u in subsets:
-            for v in subsets:
-                if u != v and set(u) <= set(v):
-                    incl = join_inclusion(u, v, nx)
-                    udegs, uval = inner_values[u]
-                    vdegs, vval = inner_values[v]
-                    rel_maps[(u, v)] = self.inner.induced(incl, uval, vval, udegs, vdegs)
-        limit = PosetDiagramValue(subsets, rel_maps, spaces)
+        for v in subsets:
+            if len(v) == 1:
+                continue
+            vdegs, vval = inner_values[v]
+            for k in range(len(v)):
+                u = v[:k] + v[k + 1 :]
+                udegs, uval = inner_values[u]
+                maps[(u, v)] = self.inner.induced(join_inclusion(u, v, nx), uval, vval, udegs, vdegs)
+        limit = CubeLimit(subsets, maps, spaces)
         value = TnValue(limit.value_degrees(), limit, inner_values)
         self._values[degs] = value
         return value
@@ -848,6 +725,10 @@ def t_n_oracle(
     layer always applies Koszul signs; that is what makes the window
     empty out (for example, a square kills a repeated odd letter), so
     this oracle has no unsigned variant.
+
+    Each iterate refuses with ``BudgetError`` once the basis sizes of its
+    cube's vertices, which are also the sizes of its chain complexes, add
+    up past ``budget``.
 
     Returns a dict with keys ``history`` (list of {degree: dim} per
     iterate, starting at the functor itself), ``stable`` ({degree: dim}

@@ -1,10 +1,11 @@
 """Limit engines and the realization layer against hand-checked values.
 
-The split engine, the plain linear limit, and the derived-limit
-machinery are checked against each other and against small diagrams
-whose limits were computed by hand.  The realization layer is checked
-against the character calculus (dimension bridge) and for strict
-functoriality of induced matrices.  The iteration trajectories of the
+The split engine and the cubical limit are checked against test-side
+oracles (the plain linear limit; the cochain complex over the nerve)
+and against small diagrams whose limits were computed by hand.  The
+realization layer is checked against the character calculus (dimension
+bridge) and for strict functoriality of induced matrices.  The
+iteration trajectories of the
 excisive approximation on one- and two-homogeneous functors were
 derived by hand from the suspension behaviour of the join and are
 frozen here.
@@ -12,6 +13,8 @@ frozen here.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -20,21 +23,22 @@ from functorcalc.exactpoly import TPoly, dims_poly
 from functorcalc.holim import (
     BudgetError,
     Cell,
-    PosetDiagramValue,
+    CubeLimit,
+    DegreeComplex,
+    Matrix,
     RealFunctor,
     SplitDiagram,
     Subquotient,
     TnFunctor,
+    Vec,
     _rref,
     cell_character,
     cells_sequence,
-    derived_limits,
     join_inclusion,
+    join_space,
     kernel_basis,
-    linear_limit,
-    mat_identity,
-    mat_mul,
     mat_rank,
+    mat_zero,
     split_limit,
     t_n_oracle,
 )
@@ -249,7 +253,39 @@ def test_split_limit_agrees_with_linear_limit_on_realizations():
 
 
 # ---------------------------------------------------------------------------
-# plain linear limits
+# plain linear limits: the kernel of the difference map, the test oracle of
+# split_limit (this is NOT a homotopy limit)
+
+
+def linear_limit(spaces: dict, maps: dict) -> dict[int, int]:
+    """Dimensions per degree of the kernel of the difference map.
+
+    spaces: object -> {degree: dim}; maps: (src, tgt) -> {degree: Matrix}.
+    This computes sections on the nose (the zeroth derived limit only).
+    """
+    degrees = sorted({d for dims in spaces.values() for d in dims})
+    objects = sorted(spaces, key=repr)
+    out: dict[int, int] = {}
+    for deg in degrees:
+        dims = {x: spaces[x].get(deg, 0) for x in objects}
+        offsets = {}
+        total = 0
+        for x in objects:
+            offsets[x] = total
+            total += dims[x]
+        rows: list[Vec] = []
+        for (src, tgt), blocks in maps.items():
+            block = blocks.get(deg, mat_zero(dims[tgt], dims[src]))
+            for i in range(dims[tgt]):
+                row = [0] * total
+                row[offsets[tgt] + i] = -1
+                for j in range(dims[src]):
+                    row[offsets[src] + j] += block[i][j]
+                rows.append(row)
+        dim = total - mat_rank(rows) if rows else total
+        if dim:
+            out[deg] = dim
+    return out
 
 
 def test_linear_limit_of_an_isomorphism():
@@ -271,30 +307,236 @@ def test_linear_limit_chain_of_surjections_is_the_top():
 
 
 # ---------------------------------------------------------------------------
-# derived limits
+# derived limits: the cubical complex against the nerve
+#
+# The nerve complex below is the brute-force oracle of CubeLimit: the
+# cochain complex over all strictly increasing chains of a poset, one
+# summand per chain, needing a map for every related pair.  On a
+# punctured cube it computes the same derived limits as the cubical
+# complex, which has one summand per vertex.
+
+
+def _chains(objects: list, rel: set[tuple], max_len: int) -> list[list[tuple]]:
+    """Strictly increasing chains per length; rel holds (smaller, larger) pairs."""
+    for x, y in list(rel):
+        for z, w in list(rel):
+            if y == z and (x, w) not in rel:
+                raise ValueError(f"relation is not transitive at {x} -> {y} -> {w}")
+    chains: list[list[tuple]] = [[(x,) for x in objects]]
+    while len(chains) <= max_len:
+        nxt = []
+        for chain in chains[-1]:
+            last = chain[-1]
+            for y in objects:
+                if (last, y) in rel:
+                    nxt.append(chain + (y,))
+        if not nxt:
+            break
+        chains.append(nxt)
+    return chains
+
+
+
+
+class PosetDiagramValue:
+    """Homotopy limit of a poset diagram of graded spaces, with chosen bases.
+
+    spaces: object -> tuple of basis degrees; maps: (x, y) -> Matrix for
+    every related pair x < y (maps must be closed under composition —
+    callers supply them directly).  The degree-d part of the value is the
+    sum over i of the i-th cohomology of the chain complex of the
+    degree-(d+i) slices.
+    """
+
+    def __init__(self, objects: list, rel_maps: dict, spaces: dict):
+        self.objects = sorted(objects, key=repr)
+        self.spaces = spaces
+        self.rel_maps = rel_maps
+        rel = set(rel_maps)
+        self.chain_lists = _chains(self.objects, rel, max_len=len(self.objects))
+        self.all_degrees = sorted({d for degs in spaces.values() for d in degs})
+        self.complexes: dict[int, DegreeComplex] = {}
+        self.layouts: dict[int, list[tuple[int, int]]] = {}
+        for e in self.all_degrees:
+            self.complexes[e] = self._build_complex(e)
+        # basis layout of the value: per output degree d, blocks (e, i)
+        self.dims: dict[int, int] = {}
+        layout: dict[int, list[tuple[int, int]]] = {}
+        for e, cx in self.complexes.items():
+            for i, level in enumerate(cx.levels):
+                if level.dim:
+                    d = e - i
+                    layout.setdefault(d, []).append((e, i))
+                    self.dims[d] = self.dims.get(d, 0) + level.dim
+        self.layouts = {d: sorted(blocks) for d, blocks in layout.items()}
+
+    def _slice_dims(self, e: int) -> dict:
+        return {x: sum(1 for d in self.spaces[x] if d == e) for x in self.objects}
+
+    def _slice_positions(self, x, e: int) -> list[int]:
+        return [j for j, d in enumerate(self.spaces[x]) if d == e]
+
+    def _slice_map(self, pair, e: int) -> Matrix:
+        src, tgt = pair
+        m = self.rel_maps[pair]
+        rows = self._slice_positions(tgt, e)
+        cols = self._slice_positions(src, e)
+        return [[m[i][j] for j in cols] for i in rows]
+
+    def _build_complex(self, e: int) -> DegreeComplex:
+        sdims = self._slice_dims(e)
+        chain_dims: list[int] = []
+        offsets: list[dict] = []
+        for chains in self.chain_lists:
+            offs = {}
+            total = 0
+            for chain in chains:
+                offs[chain] = total
+                total += sdims[chain[-1]]
+            offsets.append(offs)
+            chain_dims.append(total)
+        diffs: list[Matrix] = []
+        for p in range(len(self.chain_lists) - 1):
+            mat = mat_zero(chain_dims[p + 1], chain_dims[p])
+            for chain in self.chain_lists[p + 1]:
+                row0 = offsets[p + 1][chain]
+                # face maps dropping one object; dropping the last applies the arrow
+                for omit in range(len(chain)):
+                    face = chain[:omit] + chain[omit + 1 :]
+                    if len(face) != len(chain) - 1 or face not in offsets[p]:
+                        continue
+                    sign = -1 if omit % 2 else 1
+                    col0 = offsets[p][face]
+                    if omit < len(chain) - 1:
+                        for j in range(sdims[chain[-1]]):
+                            mat[row0 + j][col0 + j] += sign
+                    else:
+                        block = self._slice_map((chain[-2], chain[-1]), e)
+                        for i in range(sdims[chain[-1]]):
+                            for j in range(sdims[chain[-2]]):
+                                if block[i][j]:
+                                    mat[row0 + i][col0 + j] += sign * block[i][j]
+            diffs.append(mat)
+        return DegreeComplex(chain_dims, diffs)
+
+    def value_degrees(self) -> tuple[int, ...]:
+        out: list[int] = []
+        for d in sorted(self.layouts):
+            out.extend([d] * self.dims[d])
+        return tuple(out)
+
+    def induced_map(self, other: "PosetDiagramValue", object_maps: dict) -> Matrix:
+        """Matrix of the map of limits induced by object_maps: self -> other.
+
+        object_maps[x] is a matrix from self.spaces[x] to other.spaces[x];
+        the diagrams must have the same shape and commuting squares (any
+        failure surfaces as a vector falling outside a kernel span).
+        """
+        src_degs = self.value_degrees()
+        tgt_degs = other.value_degrees()
+        out = mat_zero(len(tgt_degs), len(src_degs))
+        col = 0
+        tgt_offsets: dict[tuple[int, int], int] = {}
+        pos = 0
+        for d in sorted(other.layouts):
+            for block in other.layouts[d]:
+                tgt_offsets[block] = pos
+                pos += other.complexes[block[0]].levels[block[1]].dim
+        for d in sorted(self.layouts):
+            for (e, i) in self.layouts[d]:
+                level = self.complexes[e].levels[i]
+                for rep in level.reps:
+                    # push the representative through the cochain map at (e, i)
+                    pushed = self._push_chain_vector(other, object_maps, e, i, rep)
+                    if (e, i) in tgt_offsets:
+                        coords = other.complexes[e].levels[i].coords(pushed)
+                        base = tgt_offsets[(e, i)]
+                        for r, val in enumerate(coords):
+                            if val:
+                                out[base + r][col] = val
+                    # a missing target block means that cohomology vanishes;
+                    # the pushed cocycle is then a boundary and maps to zero
+                    col += 1
+        return out
+
+    def _push_chain_vector(self, other: "PosetDiagramValue", object_maps, e: int, p: int, vec: Vec) -> Vec:
+        src_sdims = self._slice_dims(e)
+        tgt_sdims = other._slice_dims(e)
+        src_off = {}
+        total = 0
+        for chain in self.chain_lists[p]:
+            src_off[chain] = total
+            total += src_sdims[chain[-1]]
+        tgt_off = {}
+        total_t = 0
+        for chain in other.chain_lists[p]:
+            tgt_off[chain] = total_t
+            total_t += tgt_sdims[chain[-1]]
+        out = [Fraction(0)] * total_t
+        for chain in self.chain_lists[p]:
+            s0 = src_off[chain]
+            piece = vec[s0 : s0 + src_sdims[chain[-1]]]
+            if not any(piece):
+                continue
+            x = chain[-1]
+            block_rows = other._slice_positions(x, e)
+            block_cols = self._slice_positions(x, e)
+            m = object_maps[x]
+            t0 = tgt_off[chain]
+            for bi, i in enumerate(block_rows):
+                acc = Fraction(0)
+                for bj, j in enumerate(block_cols):
+                    if m[i][j] and piece[bj]:
+                        acc += m[i][j] * piece[bj]
+                out[t0 + bi] += acc
+        return out
+
+
+
+
+def derived_limits(objects: list, rel_maps: dict, spaces: dict, engine=None) -> dict[int, dict[int, int]]:
+    """Dimensions of the i-th derived limits per degree: {degree: {i: dim}}."""
+    return derived_dims((engine or PosetDiagramValue)(objects, rel_maps, spaces))
+
+
+def derived_dims(value) -> dict[int, dict[int, int]]:
+    out: dict[int, dict[int, int]] = {}
+    for e, cx in value.complexes.items():
+        for i, level in enumerate(cx.levels):
+            if level.dim:
+                out.setdefault(e, {})[i] = level.dim
+    return out
+
+
+#: both engines take (objects, maps, spaces); the nerve reads every related
+#: pair, the cube only the one-element inclusions
+ENGINES = (PosetDiagramValue, CubeLimit)
+
+A, B, AB = (0,), (1,), (0, 1)  # the punctured square A -> AB <- B
 
 
 def test_derived_limit_single_object():
-    out = derived_limits(["o"], {}, {"o": (0, 0, 1)})
-    assert out == {0: {0: 2}, 1: {0: 1}}
+    for engine in ENGINES:
+        out = derived_limits([A], {}, {A: (0, 0, 1)}, engine)
+        assert out == {0: {0: 2}, 1: {0: 1}}
 
 
 def test_derived_limit_pullback_of_surjections_has_no_higher_terms():
-    spaces = {"a": (0, 0), "b": (0, 0), "c": (0,)}
+    spaces = {A: (0, 0), B: (0, 0), AB: (0,)}
     rel = {
-        ("a", "c"): [[1, 0]],
-        ("b", "c"): [[1, 0]],
+        (A, AB): [[1, 0]],
+        (B, AB): [[1, 0]],
     }
-    out = derived_limits(["a", "b", "c"], rel, spaces)
-    assert out == {0: {0: 3}}
+    for engine in ENGINES:
+        assert derived_limits([A, B, AB], rel, spaces, engine) == {0: {0: 3}}
 
 
 def test_derived_limit_detects_the_loop_term():
     """Punctured square with zero legs: no sections, one first-derived line."""
-    spaces = {"a": (), "b": (), "c": (0,)}
-    rel = {("a", "c"): [[]], ("b", "c"): [[]]}
-    out = derived_limits(["a", "b", "c"], rel, spaces)
-    assert out == {0: {1: 1}}
+    spaces = {A: (), B: (), AB: (0,)}
+    rel = {(A, AB): [[]], (B, AB): [[]]}
+    for engine in ENGINES:
+        assert derived_limits([A, B, AB], rel, spaces, engine) == {0: {1: 1}}
 
 
 def test_constant_punctured_cube_has_trivial_higher_limits():
@@ -305,35 +547,154 @@ def test_constant_punctured_cube_has_trivial_higher_limits():
             if u != v and set(u) <= set(v):
                 rel[(u, v)] = [[1]]
     spaces = {u: (0,) for u in objects}
-    value = PosetDiagramValue(objects, rel, spaces)
-    assert value.complexes[0].dims == [7, 12, 6]
-    assert derived_limits(objects, rel, spaces) == {0: {0: 1}}
+    # 7 objects, 12 chains of length 2, 6 of length 3; 3 + 3 + 1 vertices
+    assert PosetDiagramValue(objects, rel, spaces).complexes[0].dims == [7, 12, 6]
+    assert CubeLimit(objects, rel, spaces).complexes[0].dims == [3, 3, 1]
+    for engine in ENGINES:
+        assert derived_limits(objects, rel, spaces, engine) == {0: {0: 1}}
 
 
 def test_derived_limit_euler_characteristic():
     rng = random.Random(823)
     for _ in range(6):
         da, db, dc = (rng.randrange(0, 3) for _ in range(3))
-        spaces = {"a": (0,) * da, "b": (0,) * db, "c": (0,) * dc}
+        spaces = {A: (0,) * da, B: (0,) * db, AB: (0,) * dc}
         rel = {
-            ("a", "c"): [[rng.randrange(-2, 3) for _ in range(da)] for _ in range(dc)],
-            ("b", "c"): [[rng.randrange(-2, 3) for _ in range(db)] for _ in range(dc)],
+            (A, AB): [[rng.randrange(-2, 3) for _ in range(da)] for _ in range(dc)],
+            (B, AB): [[rng.randrange(-2, 3) for _ in range(db)] for _ in range(dc)],
         }
-        out = derived_limits(["a", "b", "c"], rel, spaces).get(0, {})
-        euler_limits = out.get(0, 0) - out.get(1, 0)
-        assert euler_limits == (da + db + dc) - 2 * dc
+        for engine in ENGINES:
+            out = derived_limits([A, B, AB], rel, spaces, engine).get(0, {})
+            euler_limits = out.get(0, 0) - out.get(1, 0)
+            assert euler_limits == (da + db + dc) - 2 * dc
 
 
 def test_induced_map_of_scalar_is_scalar():
-    spaces = {"a": (0,), "b": (0,), "c": (0, 1)}
-    rel = {("a", "c"): [[1], [0]], ("b", "c"): [[1], [0]]}
-    value = PosetDiagramValue(["a", "b", "c"], rel, spaces)
-    doubled = value.induced_map(value, {"a": [[2]], "b": [[2]], "c": [[2, 0], [0, 2]]})
-    n = len(value.value_degrees())
-    assert n == sum(value.dims.values())
-    assert doubled == [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    spaces = {A: (0,), B: (0,), AB: (0, 1)}
+    rel = {(A, AB): [[1], [0]], (B, AB): [[1], [0]]}
+    for engine in ENGINES:
+        value = engine([A, B, AB], rel, spaces)
+        doubled = value.induced_map(value, {A: [[2]], B: [[2]], AB: [[2, 0], [0, 2]]})
+        n = len(value.value_degrees())
+        assert n == sum(value.dims.values())
+        assert doubled == [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _punctured_cube(npoints):
+    return [u for size in range(1, npoints + 1) for u in combinations(range(npoints), size)]
+
+
+def _related(subsets):
+    return [(u, v) for u in subsets for v in subsets if u != v and set(u) <= set(v)]
+
+
+def _join_cube(functor, subsets, degs):
+    """U -> F(U * X): its values, and its maps on every related pair."""
+    values = {u: (join_space(len(u), degs), functor.evaluate(join_space(len(u), degs))) for u in subsets}
+    maps = {}
+    for u, v in _related(subsets):
+        (udegs, uval), (vdegs, vval) = values[u], values[v]
+        maps[(u, v)] = functor.induced(join_inclusion(u, v, len(degs)), uval, vval, udegs, vdegs)
+    return values, maps
+
+
+def _join_object_maps(functor, f, src, tgt):
+    """F(U * f) at every vertex U, for a map f of letters (rows: target letters)."""
+    out = {}
+    for u, (sdegs, sval) in src.items():
+        tdegs, tval = tgt[u]
+        nx, ny = len(sdegs) // max(len(u) - 1, 1), len(tdegs) // max(len(u) - 1, 1)
+        block = [[f[i % ny][j % nx] if i // ny == j // nx else 0 for j in range(len(sdegs))]
+                 for i in range(len(tdegs))]
+        out[u] = functor.induced(block, sval, tval, sdegs, tdegs)
+    return out
+
+
+def _diagonal(entries):
+    return [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))]
+
+
+def _diagonal_cube(subsets, scalars):
+    """Edge maps U -> V multiply coordinate j by the product of scalars[x][j]
+    over the points x added, so every square commutes."""
+    return {(u, v): _diagonal([prod(s[j] for x, s in enumerate(scalars) if x in v and x not in u)
+                               for j in range(len(scalars[0]))])
+            for u, v in _related(subsets)}
+
+
+def _block_ranks(src, tgt, matrix):
+    """Rank of each (slice, level) block of an induced map, and of the whole map."""
+    def offsets(value):
+        out, pos = {}, 0
+        for d in sorted(value.layouts):
+            for e, i in value.layouts[d]:
+                dim = value.complexes[e].levels[i].dim
+                out[(e, i)] = range(pos, pos + dim)
+                pos += dim
+        return out
+
+    rows, cols = offsets(tgt), offsets(src)
+    ranks = {b: mat_rank([[matrix[r][c] for c in cols[b]] for r in rows[b]]) for b in cols if b in rows}
+    return ranks, mat_rank(matrix)
+
+
+def _assert_cube_matches_nerve(subsets, cubes, phi, psi):
+    """cubes: three (maps, spaces) over subsets; phi: cube 0 -> 1, psi: 1 -> 2."""
+    nerves = [PosetDiagramValue(subsets, maps, spaces) for maps, spaces in cubes]
+    limits = [CubeLimit(subsets, maps, spaces) for maps, spaces in cubes]
+    for nerve, cube in zip(nerves, limits):
+        assert derived_dims(cube) == derived_dims(nerve)
+    for k, object_maps in [(0, phi), (1, psi)]:
+        by_nerve = nerves[k].induced_map(nerves[k + 1], object_maps)
+        by_cube = limits[k].induced_map(limits[k + 1], object_maps)
+        assert _block_ranks(limits[k], limits[k + 1], by_cube) == _block_ranks(nerves[k], nerves[k + 1], by_nerve)
+    # the cube's induced map is a functor
+    sizes = [{u: len(spaces[u]) for u in subsets} for _, spaces in cubes]
+    dims = [len(cube.value_degrees()) for cube in limits]
+    assert limits[0].induced_map(limits[0], {u: _identity(sizes[0][u]) for u in subsets}) == _identity(dims[0])
+    composite = {u: _mul_shaped(psi[u], phi[u], sizes[2][u], sizes[1][u], sizes[0][u]) for u in subsets}
+    assert limits[0].induced_map(limits[2], composite) == _mul_shaped(
+        limits[1].induced_map(limits[2], psi), limits[0].induced_map(limits[1], phi), dims[2], dims[1], dims[0])
+
+
+def test_cube_limit_matches_the_nerve_on_join_cubes():
+    rng = random.Random(4229)
+    for trial in range(16):
+        npoints = trial % 4 + 1
+        subsets = _punctured_cube(npoints)
+        # at four points the nerve has 149 chains; keep its spaces small
+        cells = random_cells(rng, 3) if npoints < 4 else random_cells(rng, 2)[:1]
+        functor = RealFunctor(cells)
+        letters = 2 if npoints < 4 else 1
+        x, y, z = (tuple(rng.randrange(0, 2) for _ in range(rng.randint(1, letters))) for _ in range(3))
+        cubes = [_join_cube(functor, subsets, degs) for degs in (x, y, z)]
+        phi = _join_object_maps(functor, _random_graded_map(rng, x, y), cubes[0][0], cubes[1][0])
+        psi = _join_object_maps(functor, _random_graded_map(rng, y, z), cubes[1][0], cubes[2][0])
+        spaces = [{u: val.degs for u, (_, val) in values.items()} for values, _ in cubes]
+        _assert_cube_matches_nerve(subsets, [(maps, sp) for (_, maps), sp in zip(cubes, spaces)], phi, psi)
+
+
+def test_cube_limit_matches_the_nerve_on_diagonal_cubes():
+    rng = random.Random(4231)
+    for trial in range(40):
+        npoints = trial % 4 + 1
+        subsets = _punctured_cube(npoints)
+        degs = tuple(rng.randrange(0, 2) for _ in range(rng.randint(1, 3)))
+
+        def draw():
+            return [[rng.choice([0, 0, 1, -1, 2]) for _ in degs] for _ in range(npoints)]
+
+        # cube k + 1 has edge scalars ratios[x][j] * those of cube k, and the
+        # map between them scales coordinate j at U by start[j] times the
+        # product of ratios[x][j] over x in U: every square commutes
+        scalars, cubes, object_maps = draw(), [], []
+        for k in range(3):
+            cubes.append((_diagonal_cube(subsets, scalars), {u: degs for u in subsets}))
+            ratios, start = draw(), [rng.choice([0, 1, -1, 3]) for _ in degs]
+            object_maps.append({u: _diagonal([start[j] * prod(ratios[x][j] for x in u) for j in range(len(degs))])
+                                for u in subsets})
+            scalars = [[r * c for r, c in zip(rs, cs)] for rs, cs in zip(ratios, scalars)]
+        _assert_cube_matches_nerve(subsets, cubes, object_maps[0], object_maps[1])
 # ---------------------------------------------------------------------------
 # realization layer
 
@@ -382,6 +743,10 @@ def _random_graded_map(rng, src_degs, tgt_degs):
     ]
 
 
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def _mul_shaped(A, B, rows, inner, cols):
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
@@ -412,8 +777,8 @@ def test_realization_functoriality():
             len(fu.degs),
         )
         assert left == right
-        ident = functor.induced(mat_identity(len(u)), fu, fu, u, u)
-        assert ident == mat_identity(len(fu.degs))
+        ident = functor.induced(_identity(len(u)), fu, fu, u, u)
+        assert ident == _identity(len(fu.degs))
 
 
 def test_cell_character_of_the_regular_representation():
@@ -446,7 +811,8 @@ def test_join_inclusions_compose():
         u = tuple(sorted(rng.sample(v, rng.randrange(1, len(v) + 1))))
         nx = rng.randrange(1, 3)
         direct = join_inclusion(u, w, nx)
-        composed = mat_mul(join_inclusion(v, w, nx), join_inclusion(u, v, nx))
+        composed = _mul_shaped(join_inclusion(v, w, nx), join_inclusion(u, v, nx),
+                               (len(w) - 1) * nx, (len(v) - 1) * nx, (len(u) - 1) * nx)
         assert direct == composed
 
 
@@ -501,3 +867,35 @@ def test_mixed_functor_stabilizes_to_its_linear_part():
 def test_budget_refusal():
     with pytest.raises(BudgetError):
         TnFunctor(RealFunctor([Cell((3,), sign=False)]), 2, budget=3).evaluate((0, 0))
+
+
+class _CountingFunctor:
+    """Passes evaluate and induced through to a functor, counting induced calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.induced_calls = 0
+
+    def evaluate(self, degs):
+        return self.inner.evaluate(degs)
+
+    def induced(self, *args):
+        self.induced_calls += 1
+        return self.inner.induced(*args)
+
+
+def test_approximation_maps_one_element_inclusions_within_its_budget():
+    degs = (0, 1)
+    for n in (1, 2, 3):
+        counting = _CountingFunctor(RealFunctor([Cell((1, 1)), Cell((2,), sign=True)]))
+        value = TnFunctor(counting, n).evaluate(degs)
+        # each vertex V receives one inclusion per point of V, and the n + 1
+        # singletons receive none: (n + 1) 2^n - (n + 1) maps (28 at n = 3)
+        assert counting.induced_calls == (n + 1) * 2**n - (n + 1)
+        # one summand per vertex: the complexes of all slices together are
+        # exactly the vertex basis total that the budget counts
+        total = sum(len(val.degs) for _, val in value.inner_values.values())
+        assert sum(sum(cx.dims) for cx in value.limit.complexes.values()) == total
+        TnFunctor(counting, n, budget=total).evaluate(degs)
+        with pytest.raises(BudgetError):
+            TnFunctor(counting, n, budget=total - 1).evaluate(degs)
