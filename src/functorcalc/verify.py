@@ -557,6 +557,13 @@ ORACLE_INSTANCES: tuple = (
     # Sym^2 e (+) e (x) odd (+) Lambda^2 odd = 1 + 2t + t^2, so
     # {0: 1, 1: 2, 2: 1}.
     ("symmetric-square-held-three-letters", (Cell((2,)),), 2, (0, 1, 1)),
+    # Excision degree 4 holds every functor of degree at most 4.  At a line
+    # in degree 0, X (x) X and X (x) X (x) X are one line each: {0: 1}.
+    # At X = one even and one odd line, X (x) X has graded dimension
+    # (1 + t)^2, so {0: 1, 1: 2, 2: 1}.
+    ("tensor-square-held-excision-four", (Cell((1, 1)),), 4, (0,)),
+    ("tensor-cube-held-excision-four", (Cell((1, 1, 1)),), 4, (0,)),
+    ("tensor-square-held-excision-four-two-letters", (Cell((1, 1)),), 4, (0, 1)),
 )
 
 

@@ -16,7 +16,7 @@ from functorcalc.verify import ORACLE_INSTANCES, RunConfig, run_battery
 #: sha256 of the default report as ``functorcalc verify --json-out`` writes
 #: it.  A change to this value must be a deliberate change of the report
 #: (new checks, instances or record fields), never a side effect.
-DEFAULT_REPORT_SHA256 = "a7a590d765438f7a5d6599aee995550460367e3ee9785db640abf16a43f6d316"
+DEFAULT_REPORT_SHA256 = "5a43964de676038beeccc25d1280dd03e42934a0bf1ff78359bbfe9994489f8a"
 
 
 @pytest.fixture(scope="module")

@@ -348,7 +348,7 @@ def test_failure_records_carry_both_disagreeing_entries(tmp_path, capsys):
 
 #: sha256 of the ``--pairs 5 --mutate`` report as ``verify --json-out`` writes
 #: it.  The default report has no failures, so this pins the failure records.
-MUTATED_REPORT_SHA256 = "2ae9108641aad11161a57d06172fb9f7e6e24459f38701c21423dcb338df3a7f"
+MUTATED_REPORT_SHA256 = "25a6a771f83f3554d9a0fafdd0ba243889d8cebed159ca2489d93471d4f8ec5e"
 
 
 def test_mutation_flips_exactly_the_targeted_checks():
