@@ -494,9 +494,9 @@ class PosetDiagramValue:
 
 
 
-def derived_limits(objects: list, rel_maps: dict, spaces: dict, engine=None) -> dict[int, dict[int, int]]:
+def derived_limits(objects: list, rel_maps: dict, spaces: dict, engine=PosetDiagramValue) -> dict[int, dict[int, int]]:
     """Dimensions of the i-th derived limits per degree: {degree: {i: dim}}."""
-    return derived_dims((engine or PosetDiagramValue)(objects, rel_maps, spaces))
+    return derived_dims(engine(objects, rel_maps, spaces))
 
 
 def derived_dims(value) -> dict[int, dict[int, int]]:
@@ -600,10 +600,10 @@ def _join_cube(functor, subsets, degs):
 
 def _join_object_maps(functor, f, src, tgt):
     """F(U * f) at every vertex U, for a map f of letters (rows: target letters)."""
+    ny, nx = len(f), len(f[0])
     out = {}
     for u, (sdegs, sval) in src.items():
         tdegs, tval = tgt[u]
-        nx, ny = len(sdegs) // max(len(u) - 1, 1), len(tdegs) // max(len(u) - 1, 1)
         block = [[f[i % ny][j % nx] if i // ny == j // nx else 0 for j in range(len(sdegs))]
                  for i in range(len(tdegs))]
         out[u] = functor.induced(block, sval, tval, sdegs, tdegs)
