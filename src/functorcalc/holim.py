@@ -24,160 +24,145 @@ shift degree by one, so the construction is only conservative when
 permutations act with Koszul signs; the realization layer therefore
 always applies them.
 
-All of it stands on exact linear algebra that eliminates in ``int`` only:
-``_rref`` is fraction-free Gauss-Jordan returning integer rows, kernel
-vectors are built from those rows in ``int``, ``solve_in_columns`` makes
-the only division, and a ``Subquotient`` chooses its image basis and its
-kernel representatives in one pass over a single integer echelon basis.
+All of it stands on one exact primitive, a sparse integer echelon basis
+(``Echelon``) whose rows carry the integer combination of inputs they
+equal: kernels of differentials are the combinations that reduce to
+zero, and a ``Subquotient`` picks its image basis and kernel
+representatives in one pass over one such basis, then reads coordinates
+off the same basis.  Rational inputs are scaled to integers once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product as iproduct
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-Vec = list
-Matrix = list  # list of rows; rows x cols = target dim x source dim
+Vec = dict  # sparse vector: index -> nonzero entry
+Matrix = list  # sparse columns: one Vec per source basis vector, indexed by target
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
 
-def mat_zero(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
+class Echelon:
+    """Sparse integer echelon basis that tracks what each row is made of.
 
-
-def _integer_row(row: Vec) -> list[int]:
-    """The row times the lcm of its denominators: a list of ints."""
-    den = 1
-    for x in row:
-        if x.denominator != 1:
-            den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
-def _eliminate(row: list[int], pivot_row: list[int], c: int) -> list[int]:
-    """Clear column c of row against pivot_row, then divide out the gcd."""
-    p, f = pivot_row[c], row[c]
-    out = [p * a - f * b for a, b in zip(row, pivot_row)]
-    g = gcd(*out)
-    return [a // g for a in out] if g > 1 else out
-
-
-def _rref(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced row echelon form; returns (rows, pivot column indices).
-
-    Fraction-free Gauss-Jordan: the rows are scaled to integers and every
-    elimination step stays in ``int`` (each new row divided by the gcd of
-    its entries).  Each returned row is zero at every other pivot, so
-    dividing it by its own pivot gives the row of the rational RREF; that
-    division is left to the callers that need it.
+    Rows are ``{column: int}``; each is zero at the pivots of the rows
+    before it.  A vector added with a label is scaled once to integers
+    (by the lcm of its denominators), and every row carries the integer
+    combination ``{label: coefficient}`` of the labelled input vectors it
+    equals; unlabelled inputs are not tracked.  Reducing a vector clears,
+    in row order, exactly the pivots it meets, so it touches no other row.
     """
-    mat = [_integer_row(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                mat[i] = _eliminate(mat[i], mat[r], c)
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
 
+    def __init__(self):
+        self.rows: list[tuple[int, Vec, dict]] = []  # (pivot, row, combination)
+        self.pivot_rows: dict[int, int] = {}  # pivot column -> row index
 
-def mat_rank(A: Matrix) -> int:
-    return len(_rref(A)[0]) if A else 0
+    def reduce(self, v: Vec, label=None) -> tuple[Vec, dict]:
+        """The remainder of v against the rows, and the combination it equals."""
+        scale = 1
+        for x in v.values():
+            if x.denominator != 1:
+                scale = lcm(scale, x.denominator)
+        row = {c: x.numerator * (scale // x.denominator) for c, x in v.items() if x}
+        combo = {} if label is None else {label: scale}
+        if not self.rows:
+            return row, combo
+        pivot_rows = self.pivot_rows
+        heap = [pivot_rows[c] for c in row if c in pivot_rows]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            c, b, b_combo = self.rows[k]
+            f = row.get(c)
+            if not f:  # queued twice, or cancelled since
+                continue
+            p = b[c]
+            row = _combine(p, row, f, b)
+            combo = _combine(p, combo, f, b_combo)
+            g = gcd(*row.values(), *combo.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+                combo = {j: x // g for j, x in combo.items()}
+            # b is zero at the pivots before its own: only later rows are met
+            for j in b:
+                if j in row and j in pivot_rows:
+                    heappush(heap, pivot_rows[j])
+        return row, combo
 
-
-def kernel_basis(A: Matrix, cols: int) -> list[list[int]]:
-    """Integer basis of the null space of A acting on column vectors of length cols.
-
-    The vector of a free column f sets f to the lcm L of the pivots of
-    the rows that touch f, and each such pivot column p to -row[f] * L /
-    row[p]: a positive multiple of the rational vector with a 1 at f.
-    """
-    if not A:
-        return [[1 if j == i else 0 for j in range(cols)] for i in range(cols)]
-    red, pivots = _rref(A)
-    basis = []
-    for f in range(cols):
-        if f in pivots:
-            continue
-        touching = [(row, p) for row, p in zip(red, pivots) if row[f]]
-        scale = lcm(*(row[p] for row, p in touching))
-        v = [0] * cols
-        v[f] = scale
-        for row, p in touching:
-            v[p] = -row[f] * (scale // row[p])
-        basis.append(v)
-    return basis
-
-
-def solve_in_columns(columns: list[Vec], w: Vec) -> Vec | None:
-    """Coefficients expressing w in the given columns, or None."""
-    if not columns:
-        return [] if not any(w) else None
-    rows = len(w)
-    aug = [[columns[j][i] for j in range(len(columns))] + [w[i]] for i in range(rows)]
-    red, pivots = _rref(aug)
-    ncols = len(columns)
-    if ncols in pivots:
+    def add(self, v: Vec, label=None) -> dict | None:
+        """Keep v's nonzero remainder as a new row; else return the relation,
+        the combination of inputs that reduced to zero."""
+        row, combo = self.reduce(v, label)
+        if not row:
+            return combo
+        pivot = min(row)
+        self.pivot_rows[pivot] = len(self.rows)
+        self.rows.append((pivot, row, combo))
         return None
-    coeffs = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        coeffs[p] = Fraction(row[-1], row[p])
-    return coeffs
+
+
+def _combine(p: int, u: dict, f: int, w: dict) -> dict:
+    """p * u - f * w on sparse integer vectors."""
+    out = {j: p * x for j, x in u.items()}
+    for j, x in w.items():
+        y = out.get(j, 0) - f * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return out
+
+
+def kernel(columns: list[Vec]) -> list[Vec]:
+    """Integer basis of the kernel of the map with the given sparse columns.
+
+    Each column that reduces to zero against the columns before it gives
+    one kernel vector: the integer combination of columns it reduced by.
+    """
+    basis = Echelon()
+    relations = (basis.add(col, j) for j, col in enumerate(columns))
+    return [r for r in relations if r is not None]
 
 
 class Subquotient:
-    """Basis data for ker / im inside an ambient space.
+    """Basis data for ker / im inside an ambient space, on sparse vectors.
 
     reps: kernel vectors extending a basis of the image to one of the
     kernel; coords(w) expresses a kernel vector in the quotient basis.
 
-    One pass picks both: the im vectors, then the ker vectors, are reduced
-    in ``int`` against a growing echelon basis (each basis row vanishes at
-    the pivots of the rows before it), and a vector is kept exactly when a
-    nonzero remainder is left, i.e. when it is not in the span of the
-    vectors kept before it.
+    One echelon basis serves both: the im vectors, then the ker vectors,
+    are added to it, and a vector is kept exactly when a nonzero
+    remainder is left, i.e. when it is not in the span of the vectors
+    kept before it.  The reps are added with their positions as labels,
+    so reducing w against the same basis reads off its coordinates.
     """
 
-    def __init__(self, ambient_dim: int, ker: list[Vec], im: list[Vec]):
-        self.ambient_dim = ambient_dim
-        basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-
-        def independent(v: Vec) -> bool:
-            row = _integer_row(v)
-            for c, b in basis:
-                if row[c]:
-                    row = _eliminate(row, b, c)
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
-                return False
-            basis.append((c, row))
-            return True
-
-        self.im: list[Vec] = [v for v in im if independent(v)]
-        self.reps: list[Vec] = [v for v in ker if independent(v)]
+    def __init__(self, ker: list[Vec], im: list[Vec]):
+        self._basis = Echelon()
+        self.im: list[Vec] = [v for v in im if self._basis.add(v) is None]
+        self.reps: list[Vec] = []
+        for v in ker:
+            if self._basis.add(v, len(self.reps)) is None:
+                self.reps.append(v)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def coords(self, w: Vec) -> Vec:
-        sol = solve_in_columns(self.reps + self.im, w)
-        if sol is None:
+        """The coordinates of w on the reps, sparse: position -> coefficient."""
+        row, combo = self._basis.reduce(w, -1)
+        if row:
             raise ArithmeticError("vector not in the kernel span; maps do not commute")
-        return sol[: len(self.reps)]
+        # combo[-1] * w + sum of combo[r] * reps[r] lies in the image span
+        den = combo.pop(-1)
+        return {r: Fraction(-a, den) if a % den else -a // den for r, a in combo.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,32 +228,24 @@ def split_limit(diagram: SplitDiagram) -> dict:
 
 
 class DegreeComplex:
-    """Cochain complex of one degree slice, with its cohomology bases."""
+    """Cochain complex of one degree slice, with its cohomology bases.
 
-    def __init__(self, dims: list[int], diffs: list[Matrix]):
-        self.dims = dims
-        self.diffs = diffs
-        self.levels: list[Subquotient] = []
-        for p in range(len(dims)):
-            ker = (
-                kernel_basis(diffs[p], dims[p])
-                if p < len(diffs)
-                else [[1 if j == i else 0 for j in range(dims[p])] for i in range(dims[p])]
-            )
-            im: list[Vec] = []
-            if p > 0 and dims[p - 1]:
-                prev = diffs[p - 1]
-                for j in range(dims[p - 1]):
-                    im.append([prev[i][j] for i in range(dims[p])])
-            self.levels.append(Subquotient(dims[p], ker, im))
+    cols[p] holds the sparse columns of the differential out of level p,
+    one per basis vector of that level; the last level's are empty.
+    """
+
+    def __init__(self, cols: list[list[Vec]]):
+        self.dims = [len(c) for c in cols]
+        self.levels = [Subquotient(kernel(c), cols[p - 1] if p else []) for p, c in enumerate(cols)]
 
 
 class CubeLimit:
     """Homotopy limit of a punctured cube of graded spaces, with chosen bases.
 
     subsets: the nonempty subsets of a finite set, as sorted tuples;
-    spaces: subset -> tuple of basis degrees; maps: (U, V) -> Matrix for
-    every one-element inclusion U < V (other pairs are not read).  The
+    spaces: subset -> tuple of basis degrees; maps: (U, V) -> Matrix, of
+    degree 0, for every one-element inclusion U < V (other pairs are not
+    read).  The
     degree-d part of the value is the sum over i of the i-th cohomology of
     the cubical total complex of the degree-(d+i) slices: its degree-p
     term is the sum of the slices at the subsets U with |U| = p + 1, and
@@ -280,12 +257,19 @@ class CubeLimit:
     """
 
     def __init__(self, subsets: list, maps: dict, spaces: dict):
-        top = max(len(u) for u in subsets)
-        self.levels = [[u for u in subsets if len(u) == p + 1] for p in range(top)]
+        self.levels, self.cofaces = _cube_shape(tuple(subsets))
         self.slices: dict = {u: {} for u in subsets}  # vertex -> degree -> basis positions
+        self.local: dict = {}  # vertex -> each basis position's index within its slice
         for u in subsets:
+            local = self.local[u] = []
             for j, d in enumerate(spaces[u]):
-                self.slices[u].setdefault(d, []).append(j)
+                positions = self.slices[u].setdefault(d, [])
+                local.append(len(positions))
+                positions.append(j)
+        # per degree slice and level: the first cochain index of each vertex,
+        # and the (vertex, basis position) behind each cochain index
+        self.offsets: dict = {}
+        self.owners: dict = {}
         degrees = sorted({d for degs in spaces.values() for d in degs})
         self.complexes = {e: self._build_complex(e, maps) for e in degrees}
         # basis layout of the value: per output degree d, blocks (e, i)
@@ -299,37 +283,28 @@ class CubeLimit:
                     self.dims[d] = self.dims.get(d, 0) + level.dim
         self.layouts = {d: sorted(blocks) for d, blocks in layout.items()}
 
-    def _positions(self, u, e: int) -> list[int]:
-        return self.slices[u].get(e, [])
-
     def _build_complex(self, e: int, maps: dict) -> DegreeComplex:
-        dims: list[int] = []
+        owners: list[list] = []
         offsets: list[dict] = []
         for level in self.levels:
-            offs = {}
-            total = 0
+            own: list = []
+            offsets.append({})
             for u in level:
-                offs[u] = total
-                total += len(self._positions(u, e))
-            offsets.append(offs)
-            dims.append(total)
-        diffs: list[Matrix] = []
-        for p in range(len(self.levels) - 1):
-            mat = mat_zero(dims[p + 1], dims[p])
-            for v in self.levels[p + 1]:
-                rows = self._positions(v, e)
-                for k in range(len(v)):
-                    u = v[:k] + v[k + 1 :]
-                    cols = self._positions(u, e)
-                    m = maps[(u, v)]
-                    sign = -1 if k % 2 else 1
-                    r0, c0 = offsets[p + 1][v], offsets[p][u]
-                    for bi, i in enumerate(rows):
-                        for bj, j in enumerate(cols):
-                            if m[i][j]:
-                                mat[r0 + bi][c0 + bj] = sign * m[i][j]
-            diffs.append(mat)
-        return DegreeComplex(dims, diffs)
+                offsets[-1][u] = len(own)
+                own += [(u, j) for j in self.slices[u].get(e, ())]
+            owners.append(own)
+        self.offsets[e], self.owners[e] = offsets, owners
+        cols: list[list[Vec]] = []
+        for p, own in enumerate(owners):
+            cols.append([])
+            for u, j in own:
+                col: Vec = {}
+                for v, sign in self.cofaces[u]:
+                    r0 = offsets[p + 1][v]
+                    for i, x in maps[(u, v)][j].items():
+                        col[r0 + self.local[v][i]] = sign * x
+                cols[-1].append(col)
+        return DegreeComplex(cols)
 
     def value_degrees(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -340,11 +315,12 @@ class CubeLimit:
     def induced_map(self, other: "CubeLimit", object_maps: dict) -> Matrix:
         """Matrix of the map of limits induced by object_maps: self -> other.
 
-        object_maps[U] is a matrix from self's space at U to other's; the
-        cubes must have the same vertices and commuting squares (any
-        failure surfaces as a vector falling outside a kernel span).
+        object_maps[U] is a degree-0 matrix from self's space at U to
+        other's; the cubes must have the same vertices and commuting
+        squares (any failure surfaces as a vector falling outside a kernel
+        span).
         """
-        out = mat_zero(len(other.value_degrees()), len(self.value_degrees()))
+        out: Matrix = [{} for _ in self.value_degrees()]
         tgt_offsets: dict[tuple[int, int], int] = {}
         pos = 0
         for d in sorted(other.layouts):
@@ -362,23 +338,33 @@ class CubeLimit:
                     base = tgt_offsets[(e, i)]
                     for c, rep in enumerate(reps):
                         pushed = self._push(other, object_maps, e, i, rep)
-                        for r, val in enumerate(target.coords(pushed)):
-                            if val:
-                                out[base + r][col + c] = val
+                        out[col + c] = {base + r: val for r, val in target.coords(pushed).items()}
                 col += len(reps)
         return out
 
     def _push(self, other: "CubeLimit", object_maps: dict, e: int, p: int, vec: Vec) -> Vec:
-        """A degree-p cochain of the e slice through the object maps, vertex by vertex."""
-        out: Vec = []
-        start = 0
-        for u in self.levels[p]:
-            cols = self._positions(u, e)
-            piece = vec[start : start + len(cols)]
-            start += len(cols)
-            m = object_maps[u]
-            out.extend(sum(m[i][j] * x for j, x in zip(cols, piece) if x) for i in other._positions(u, e))
-        return out
+        """A sparse degree-p cochain of the e slice through the object maps."""
+        out: Vec = {}
+        for pos, x in vec.items():
+            u, j = self.owners[e][p][pos]
+            base = other.offsets[e][p][u]
+            for i, y in object_maps[u][j].items():
+                r = base + other.local[u][i]
+                out[r] = out.get(r, 0) + y * x
+        return {r: y for r, y in out.items() if y}
+
+
+@cache
+def _cube_shape(subsets: tuple) -> tuple[list, dict]:
+    """The vertices per level, and the signed one-element inclusions out of each."""
+    top = max(len(u) for u in subsets)
+    levels = [[u for u in subsets if len(u) == p + 1] for p in range(top)]
+    cofaces: dict = {u: [] for u in subsets}
+    for level in levels[1:]:
+        for v in level:
+            for k in range(len(v)):
+                cofaces[v[:k] + v[k + 1 :]].append((v, -1 if k % 2 else 1))
+    return levels, cofaces
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +508,21 @@ class RealFunctor:
     def induced(self, f: Matrix, src: RealValue, tgt: RealValue, src_degs, tgt_degs) -> Matrix:
         """Matrix of the functor applied to a linear map given on bases.
 
-        f[i][j] = coefficient of target letter i in the image of source
+        f[j][i] = coefficient of target letter i in the image of source
         letter j; the induced map expands multilinearly over the word
         slots and re-canonicalizes each resulting word.
         """
-        key = (tuple(tuple(row) for row in f), tuple(src_degs), tuple(tgt_degs))
+        key = (_matrix_key(f), tuple(src_degs), tuple(tgt_degs))
         cached = self._maps.get(key)
         if cached is not None:
             return cached
-        out = mat_zero(len(tgt.degs), len(src.degs))
-        for col, (ci, rows) in enumerate(src.basis):
+        out: Matrix = []
+        for ci, rows in src.basis:
             cell = self.cells[ci]
             slots = [l for row in rows for l in row]
             shape = [len(row) for row in rows]
-            choices = []
-            for l in slots:
-                imgs = [(i, f[i][l]) for i in range(len(tgt_degs)) if f[i][l]]
-                choices.append(imgs)
-            for pick in iproduct(*choices):
+            col: Vec = {}
+            for pick in iproduct(*[f[l].items() for l in slots]):
                 coeff = 1
                 for _, c in pick:
                     coeff *= c
@@ -552,9 +535,14 @@ class RealFunctor:
                 row_idx = tgt.index.get((ci, canon))
                 if row_idx is None:
                     raise ArithmeticError("image word missing from target basis")
-                out[row_idx][col] += coeff * sgn
+                col[row_idx] = col.get(row_idx, 0) + coeff * sgn
+            out.append({i: x for i, x in col.items() if x})
         self._maps[key] = out
         return out
+
+
+def _matrix_key(f: Matrix) -> tuple:
+    return tuple(tuple(col.items()) for col in f)
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +562,17 @@ def join_inclusion(u: tuple[int, ...], v: tuple[int, ...], nx: int) -> Matrix:
     two terms with integer coefficients.
     """
     su, sv = list(u), list(v)
-    rows = (len(sv) - 1) * nx
-    cols = (len(su) - 1) * nx
-    out = mat_zero(rows, cols)
+    out: Matrix = [{} for _ in range((len(su) - 1) * nx)]
     vpos = {elt: i for i, elt in enumerate(sv[1:])}
     u0 = su[0]
     for ci, elt in enumerate(su[1:]):
         for x in range(nx):
-            col = ci * nx + x
+            col = out[ci * nx + x]
             # e(elt) - e(u0) = (e(elt) - e(v0)) - (e(u0) - e(v0))
             if elt != sv[0]:
-                out[vpos[elt] * nx + x][col] += 1
+                col[vpos[elt] * nx + x] = 1
             if u0 != sv[0]:
-                out[vpos[u0] * nx + x][col] -= 1
+                col[vpos[u0] * nx + x] = -1
     return out
 
 
@@ -661,7 +647,7 @@ class TnFunctor:
         return value
 
     def induced(self, f: Matrix, src: TnValue, tgt: TnValue, src_degs, tgt_degs) -> Matrix:
-        key = (tuple(tuple(row) for row in f), tuple(src_degs), tuple(tgt_degs))
+        key = (_matrix_key(f), tuple(src_degs), tuple(tgt_degs))
         cached = self._maps.get(key)
         if cached is not None:
             return cached
@@ -669,12 +655,8 @@ class TnFunctor:
         nx_src = len(src_degs)
         nx_tgt = len(tgt_degs)
         for u in self._cube():
-            block = mat_zero((len(u) - 1) * nx_tgt, (len(u) - 1) * nx_src)
-            for rep in range(len(u) - 1):
-                for i in range(nx_tgt):
-                    for j in range(nx_src):
-                        if f[i][j]:
-                            block[rep * nx_tgt + i][rep * nx_src + j] = f[i][j]
+            # f on each of the |U| - 1 copies of X
+            block = [{rep * nx_tgt + i: x for i, x in f[j].items()} for rep in range(len(u) - 1) for j in range(nx_src)]
             su_degs, su_val = src.inner_values[u]
             tu_degs, tu_val = tgt.inner_values[u]
             object_maps[u] = self.inner.induced(block, su_val, tu_val, su_degs, tu_degs)
@@ -757,14 +739,29 @@ def t_n_expected(cells: list[Cell], n: int, degs: tuple[int, ...], window: int |
     the point with the given letter degrees, with Koszul signs like the
     realization layer.  The default window reaches two past the highest
     degree of that value and of the point.  Returns (window, {degree: dim}).
+
+    Raises ``ValueError`` when the window lies below every degree the
+    functor or its iterates can hold at the point, so that the comparison
+    would pass on nothing.  Those degrees are the functor's own value's
+    (they contain the truncated value's) and, for a cell of arity m > n,
+    at least c + m * a + (m - n), c its internal degree and a the lowest
+    letter degree: joins raise letters by one and the cube's cohomology
+    lowers by at most n.  Cells of arity <= n are held.
     """
     from .exactpoly import dims_poly
     from .symseq import evaluate
 
     point = dims_poly({d: degs.count(d) for d in set(degs)})
-    value = evaluate(cells_sequence(cells).truncate(n), point, signed=True)
+    seq = cells_sequence(cells)
+    value = evaluate(seq.truncate(n), point, signed=True)
     if window is None:
         window = max(list(value.support()) + list(degs) + [0]) + 2
+    reachable = list(evaluate(seq, point, signed=True).support())
+    if degs:
+        reachable += [c.degree + c.n * min(degs) + c.n - n for c in set(cells) if c.n > n]
+    if not any(d <= window for d in reachable):
+        raise ValueError(f"window {window} holds no degree of the functor or its iterates "
+                         f"at the point, so the comparison would pass on nothing")
     return window, {d: int(value.coeff(d)) for d in value.support() if d <= window}
 
 

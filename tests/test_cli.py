@@ -163,7 +163,7 @@ def test_chainrule_command(pair, capsys):
     capsys.readouterr()
 
 
-def test_negative_bound_exits_two(pair, capsys):
+def test_negative_bound_exits_two(pair, tmp_path, capsys):
     # a negative window compares no entries, so it must not report agreement
     fp, gp, _, _ = pair
     assert main(["chainrule", str(fp), str(gp), "--bound", "-1"]) == 2
@@ -171,6 +171,16 @@ def test_negative_bound_exits_two(pair, capsys):
     captured = capsys.readouterr()
     assert "agree" not in captured.out
     assert "negative" in captured.err
+    # X (x) X at a line of degree 0 or 3 sits in degree 0 or 6, and its
+    # iterates climb from there: these windows hold none of it
+    sq = tmp_path / "sq.json"
+    sq.write_text(json.dumps([{"composition": [1, 1]}]))
+    for space, window in [("0", "-1"), ("3", "1")]:
+        assert main(["tn-oracle", str(sq), "--excision-degree", "1", "--space", space,
+                     "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "holds no degree" in captured.err
 
 
 def test_chainrule_truncated_inputs(pair, tmp_path, capsys):

@@ -25,21 +25,19 @@ from functorcalc.holim import (
     Cell,
     CubeLimit,
     DegreeComplex,
+    Echelon,
     Matrix,
     RealFunctor,
     SplitDiagram,
     Subquotient,
     TnFunctor,
-    Vec,
-    _rref,
     cell_character,
     cells_sequence,
     join_inclusion,
     join_space,
-    kernel_basis,
-    mat_rank,
-    mat_zero,
+    kernel,
     split_limit,
+    t_n_expected,
     t_n_oracle,
 )
 from functorcalc.symseq import evaluate
@@ -49,24 +47,21 @@ from functorcalc.symseq import evaluate
 # exact linear algebra
 
 
-def test_rank_and_kernel_small():
-    A = [[1, 2], [2, 4]]
-    assert mat_rank(A) == 1
-    ker = kernel_basis(A, 2)
-    assert len(ker) == 1
-    v = ker[0]
-    assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in A)
+# The engine's vectors are sparse ({index: entry}) and its matrices are
+# lists of sparse columns; the tests write dense lists and convert.
 
 
-def test_subquotient_coords():
-    ker = [[1, 0, 0], [0, 1, 0]]
-    im = [[1, 0, 0]]
-    sq = Subquotient(3, ker, im)
-    assert sq.dim == 1
-    assert sq.coords([0, 1, 0]) == [1]
-    assert sq.coords([5, 1, 0]) == [1]  # the image part is quotiented away
-    with pytest.raises(ArithmeticError):
-        sq.coords([0, 0, 1])
+def _sparse(v) -> dict:
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _columns(m: list, ncols: int) -> Matrix:
+    """Sparse columns of a dense matrix given as a list of rows."""
+    return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(ncols)]
+
+
+def _dense(cols: Matrix, nrows: int) -> list:
+    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
 
 
 def _plain_rref(rows):
@@ -89,6 +84,32 @@ def _plain_rref(rows):
     return mat[:r], pivots
 
 
+def _rank(rows) -> int:
+    """Rank by the plain elimination, independent of the engine's."""
+    return len(_plain_rref(rows)[0])
+
+
+def test_rank_and_kernel_small():
+    A = [[1, 2], [2, 4]]
+    basis = Echelon()
+    for row in A:
+        basis.add(_sparse(row))
+    assert len(basis.rows) == 1
+    ker = kernel(_columns(A, 2))
+    assert len(ker) == 1
+    v = ker[0]
+    assert all(sum(Fraction(row[j]) * x for j, x in v.items()) == 0 for row in A)
+
+
+def test_subquotient_coords():
+    sq = Subquotient([{0: 1}, {1: 1}], [{0: 1}])
+    assert sq.dim == 1
+    assert sq.coords({1: 1}) == {0: 1}
+    assert sq.coords({0: 5, 1: 1}) == {0: 1}  # the image part is quotiented away
+    with pytest.raises(ArithmeticError):
+        sq.coords({2: 1})
+
+
 def _random_entry(rng, rational):
     x = rng.choice([0, 0, 0, 1, -1, 2, -3, rng.randint(-40, 40)])
     return Fraction(x, rng.randint(1, 9)) if rational and rng.random() < 0.4 else x
@@ -103,7 +124,7 @@ def _random_matrix(rng, rows, cols, rational=True):
             for _ in range(rows)]
 
 
-def test_rref_matches_plain_gauss_jordan():
+def test_kernel_matches_plain_gauss_jordan():
     rng = random.Random(4201)
     shapes = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 2)]
     shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3000)]
@@ -111,38 +132,45 @@ def test_rref_matches_plain_gauss_jordan():
     shapes += [(rng.randint(1, 4), rng.randint(8, 14)) for _ in range(100)]  # wide
     for rows, cols in shapes:
         A = _random_matrix(rng, rows, cols)
-        red, pivots = _rref(A)
-        assert all(type(x) is int for row in red for x in row)
-        # each integer row is zero at the other pivots; dividing by its own
-        # pivot gives the rational RREF
-        reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(red, pivots)]
-        assert (reduced, pivots) == _plain_rref(A), A
+        ker = kernel(_columns(A, cols))
+        assert len(ker) == cols - _rank(A), A
+        assert all(type(x) is int for v in ker for x in v.values())
+        assert all(sum(Fraction(row[j]) * x for j, x in v.items()) == 0 for row in A for v in ker)
+        assert _rank([[v.get(j, 0) for j in range(cols)] for v in ker]) == len(ker)
     for rows, cols in [(1, 1), (3, 5), (6, 2)]:
         zero = [[0] * cols for _ in range(rows)]
-        assert _rref(zero) == ([], [])
-    # the rank and kernel built on it agree with the plain elimination
-    for _ in range(300):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        A = _random_matrix(rng, rows, cols)
-        red, pivots = _plain_rref(A)
-        assert mat_rank(A) == len(red)
-        ker = kernel_basis(A, cols)
-        assert len(ker) == cols - len(pivots)
-        assert all(type(x) is int for v in ker for x in v)
-        assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in A for v in ker)
-        # each vector is a positive multiple of the rational one with a 1 at its free column
-        for f, v in zip([c for c in range(cols) if c not in pivots], ker):
-            plain = [Fraction(int(j == f)) for j in range(cols)]
-            for row, p in zip(red, pivots):
-                plain[p] = -row[f]
-            assert v[f] > 0 and [Fraction(x, v[f]) for x in v] == plain
+        assert kernel(_columns(zero, cols)) == [{j: 1} for j in range(cols)]
+
+
+def test_echelon_rows_are_their_tracked_combinations():
+    rng = random.Random(4219)
+    for _ in range(400):
+        dim = rng.randint(1, 8)
+        vecs = _random_matrix(rng, rng.randint(0, 9), dim)
+        basis = Echelon()
+        relations = {k: basis.add(_sparse(v), k) for k, v in enumerate(vecs)}
+
+        def value(combo, j):
+            return sum((c * Fraction(vecs[k][j]) for k, c in combo.items()), Fraction(0))
+
+        pivots = []
+        for pivot, row, combo in basis.rows:
+            # integer rows, zero at the pivots before their own
+            assert row[pivot] and all(type(x) is int for x in row.values())
+            assert not set(pivots) & set(row)
+            pivots.append(pivot)
+            assert all(value(combo, j) == row.get(j, 0) for j in range(dim))
+        for k, rel in relations.items():
+            if rel is not None:
+                assert rel[k] and all(value(rel, j) == 0 for j in range(dim))
+        assert len(basis.rows) == _rank(vecs)
 
 
 def _greedy_keep(chosen, candidates):
     """Keep each candidate that raises the rank of everything kept so far."""
     kept = []
     for v in candidates:
-        if mat_rank(chosen + kept + [v]) > mat_rank(chosen + kept):
+        if _rank(chosen + kept + [v]) > _rank(chosen + kept):
             kept.append(v)
     return kept
 
@@ -154,9 +182,10 @@ def test_subquotient_is_the_greedy_rank_selection():
         dim = rng.randint(1, 7)
         im = _random_matrix(rng, rng.randint(0, 6), dim, rational)
         ker = _random_matrix(rng, rng.randint(0, 7), dim, rational)
-        sq = Subquotient(dim, ker, im)
-        assert sq.im == _greedy_keep([], im)
-        assert sq.reps == _greedy_keep(sq.im, ker)
+        sq = Subquotient([_sparse(v) for v in ker], [_sparse(v) for v in im])
+        kept_im = _greedy_keep([], im)
+        assert sq.im == [_sparse(v) for v in kept_im]
+        assert sq.reps == [_sparse(v) for v in _greedy_keep(kept_im, ker)]
         assert sq.dim == len(sq.reps)
 
 
@@ -166,18 +195,20 @@ def test_subquotient_coords_refuse_vectors_off_the_kernel_span():
         dim = rng.randint(2, 6)
         ker = _random_matrix(rng, rng.randint(1, dim - 1), dim)
         im = [[sum((rng.randint(-2, 2) * v[j] for v in ker), 0) for j in range(dim)]]
-        sq = Subquotient(dim, ker, im)
+        sq = Subquotient([_sparse(v) for v in ker], [_sparse(v) for v in im])
+        reps = [[v.get(j, 0) for j in range(dim)] for v in sq.reps]
+        kept_im = [[v.get(j, 0) for j in range(dim)] for v in sq.im]
         # a kernel-span vector has its coordinates; adding an image vector
         # does not move them
-        coeffs = [rng.randint(-3, 3) for _ in sq.reps]
-        w = [sum((a * v[j] for a, v in zip(coeffs, sq.reps)), 0) for j in range(dim)]
+        coeffs = [rng.randint(-3, 3) for _ in reps]
+        w = [sum((a * v[j] for a, v in zip(coeffs, reps)), 0) for j in range(dim)]
         shifted = [a + b for a, b in zip(w, im[0])]
-        assert sq.coords(w) == coeffs
-        assert sq.coords(shifted) == coeffs
+        assert sq.coords(_sparse(w)) == _sparse(coeffs)
+        assert sq.coords(_sparse(shifted)) == _sparse(coeffs)
         off = [_random_entry(rng, True) for _ in range(dim)]
-        if mat_rank(sq.im + sq.reps + [off]) > mat_rank(sq.im + sq.reps):
+        if _rank(kept_im + reps + [off]) > _rank(kept_im + reps):
             with pytest.raises(ArithmeticError):
-                sq.coords(off)
+                sq.coords(_sparse(off))
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +304,16 @@ def linear_limit(spaces: dict, maps: dict) -> dict[int, int]:
         for x in objects:
             offsets[x] = total
             total += dims[x]
-        rows: list[Vec] = []
+        rows: list[list] = []
         for (src, tgt), blocks in maps.items():
-            block = blocks.get(deg, mat_zero(dims[tgt], dims[src]))
+            block = blocks.get(deg, [[0] * dims[src] for _ in range(dims[tgt])])
             for i in range(dims[tgt]):
                 row = [0] * total
                 row[offsets[tgt] + i] = -1
                 for j in range(dims[src]):
                     row[offsets[src] + j] += block[i][j]
                 rows.append(row)
-        dim = total - mat_rank(rows) if rows else total
+        dim = total - _rank(rows)
         if dim:
             out[deg] = dim
     return out
@@ -397,7 +428,7 @@ class PosetDiagramValue:
             chain_dims.append(total)
         diffs: list[Matrix] = []
         for p in range(len(self.chain_lists) - 1):
-            mat = mat_zero(chain_dims[p + 1], chain_dims[p])
+            mat = [[0] * chain_dims[p] for _ in range(chain_dims[p + 1])]
             for chain in self.chain_lists[p + 1]:
                 row0 = offsets[p + 1][chain]
                 # face maps dropping one object; dropping the last applies the arrow
@@ -417,7 +448,8 @@ class PosetDiagramValue:
                                 if block[i][j]:
                                     mat[row0 + i][col0 + j] += sign * block[i][j]
             diffs.append(mat)
-        return DegreeComplex(chain_dims, diffs)
+        cols = [_columns(mat, chain_dims[p]) for p, mat in enumerate(diffs)]
+        return DegreeComplex(cols + [[{} for _ in range(chain_dims[-1])]])
 
     def value_degrees(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -434,7 +466,7 @@ class PosetDiagramValue:
         """
         src_degs = self.value_degrees()
         tgt_degs = other.value_degrees()
-        out = mat_zero(len(tgt_degs), len(src_degs))
+        out = [[0] * len(src_degs) for _ in tgt_degs]
         col = 0
         tgt_offsets: dict[tuple[int, int], int] = {}
         pos = 0
@@ -447,19 +479,19 @@ class PosetDiagramValue:
                 level = self.complexes[e].levels[i]
                 for rep in level.reps:
                     # push the representative through the cochain map at (e, i)
-                    pushed = self._push_chain_vector(other, object_maps, e, i, rep)
+                    dense = [rep.get(k, 0) for k in range(self.complexes[e].dims[i])]
+                    pushed = self._push_chain_vector(other, object_maps, e, i, dense)
                     if (e, i) in tgt_offsets:
-                        coords = other.complexes[e].levels[i].coords(pushed)
+                        coords = other.complexes[e].levels[i].coords(_sparse(pushed))
                         base = tgt_offsets[(e, i)]
-                        for r, val in enumerate(coords):
-                            if val:
-                                out[base + r][col] = val
+                        for r, val in coords.items():
+                            out[base + r][col] = val
                     # a missing target block means that cohomology vanishes;
                     # the pushed cocycle is then a boundary and maps to zero
                     col += 1
         return out
 
-    def _push_chain_vector(self, other: "PosetDiagramValue", object_maps, e: int, p: int, vec: Vec) -> Vec:
+    def _push_chain_vector(self, other: "PosetDiagramValue", object_maps, e: int, p: int, vec: list) -> list:
         src_sdims = self._slice_dims(e)
         tgt_sdims = other._slice_dims(e)
         src_off = {}
@@ -508,9 +540,21 @@ def derived_dims(value) -> dict[int, dict[int, int]]:
     return out
 
 
+class DenseCube(CubeLimit):
+    """CubeLimit taking and giving dense matrices (lists of rows), as the nerve does."""
+
+    def __init__(self, subsets, maps, spaces):
+        self.sizes = {u: len(spaces[u]) for u in subsets}
+        super().__init__(subsets, {(u, v): _columns(m, self.sizes[u]) for (u, v), m in maps.items()}, spaces)
+
+    def induced_map(self, other, object_maps):
+        sparse = {u: _columns(m, self.sizes[u]) for u, m in object_maps.items()}
+        return _dense(super().induced_map(other, sparse), len(other.value_degrees()))
+
+
 #: both engines take (objects, maps, spaces); the nerve reads every related
 #: pair, the cube only the one-element inclusions
-ENGINES = (PosetDiagramValue, CubeLimit)
+ENGINES = (PosetDiagramValue, DenseCube)
 
 A, B, AB = (0,), (1,), (0, 1)  # the punctured square A -> AB <- B
 
@@ -549,7 +593,7 @@ def test_constant_punctured_cube_has_trivial_higher_limits():
     spaces = {u: (0,) for u in objects}
     # 7 objects, 12 chains of length 2, 6 of length 3; 3 + 3 + 1 vertices
     assert PosetDiagramValue(objects, rel, spaces).complexes[0].dims == [7, 12, 6]
-    assert CubeLimit(objects, rel, spaces).complexes[0].dims == [3, 3, 1]
+    assert DenseCube(objects, rel, spaces).complexes[0].dims == [3, 3, 1]
     for engine in ENGINES:
         assert derived_limits(objects, rel, spaces, engine) == {0: {0: 1}}
 
@@ -594,7 +638,7 @@ def _join_cube(functor, subsets, degs):
     maps = {}
     for u, v in _related(subsets):
         (udegs, uval), (vdegs, vval) = values[u], values[v]
-        maps[(u, v)] = functor.induced(join_inclusion(u, v, len(degs)), uval, vval, udegs, vdegs)
+        maps[(u, v)] = _dense(functor.induced(join_inclusion(u, v, len(degs)), uval, vval, udegs, vdegs), len(vval.degs))
     return values, maps
 
 
@@ -606,7 +650,7 @@ def _join_object_maps(functor, f, src, tgt):
         tdegs, tval = tgt[u]
         block = [[f[i % ny][j % nx] if i // ny == j // nx else 0 for j in range(len(sdegs))]
                  for i in range(len(tdegs))]
-        out[u] = functor.induced(block, sval, tval, sdegs, tdegs)
+        out[u] = _induced(functor, block, sval, tval, sdegs, tdegs)
     return out
 
 
@@ -634,14 +678,14 @@ def _block_ranks(src, tgt, matrix):
         return out
 
     rows, cols = offsets(tgt), offsets(src)
-    ranks = {b: mat_rank([[matrix[r][c] for c in cols[b]] for r in rows[b]]) for b in cols if b in rows}
-    return ranks, mat_rank(matrix)
+    ranks = {b: _rank([[matrix[r][c] for c in cols[b]] for r in rows[b]]) for b in cols if b in rows}
+    return ranks, _rank(matrix)
 
 
 def _assert_cube_matches_nerve(subsets, cubes, phi, psi):
     """cubes: three (maps, spaces) over subsets; phi: cube 0 -> 1, psi: 1 -> 2."""
     nerves = [PosetDiagramValue(subsets, maps, spaces) for maps, spaces in cubes]
-    limits = [CubeLimit(subsets, maps, spaces) for maps, spaces in cubes]
+    limits = [DenseCube(subsets, maps, spaces) for maps, spaces in cubes]
     for nerve, cube in zip(nerves, limits):
         assert derived_dims(cube) == derived_dims(nerve)
     for k, object_maps in [(0, phi), (1, psi)]:
@@ -743,6 +787,11 @@ def _random_graded_map(rng, src_degs, tgt_degs):
     ]
 
 
+def _induced(functor, f, src, tgt, src_degs, tgt_degs):
+    """functor.induced on dense matrices."""
+    return _dense(functor.induced(_columns(f, len(src_degs)), src, tgt, src_degs, tgt_degs), len(tgt.degs))
+
+
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -768,16 +817,16 @@ def test_realization_functoriality():
         f = _random_graded_map(rng, u, v)
         g = _random_graded_map(rng, v, w)
         fu, fv, fw = functor.evaluate(u), functor.evaluate(v), functor.evaluate(w)
-        left = functor.induced(_mul_shaped(g, f, len(w), len(v), len(u)), fu, fw, u, w)
+        left = _induced(functor, _mul_shaped(g, f, len(w), len(v), len(u)), fu, fw, u, w)
         right = _mul_shaped(
-            functor.induced(g, fv, fw, v, w),
-            functor.induced(f, fu, fv, u, v),
+            _induced(functor, g, fv, fw, v, w),
+            _induced(functor, f, fu, fv, u, v),
             len(fw.degs),
             len(fv.degs),
             len(fu.degs),
         )
         assert left == right
-        ident = functor.induced(_identity(len(u)), fu, fu, u, u)
+        ident = _induced(functor, _identity(len(u)), fu, fu, u, u)
         assert ident == _identity(len(fu.degs))
 
 
@@ -810,9 +859,10 @@ def test_join_inclusions_compose():
         v = tuple(sorted(rng.sample(w, rng.randrange(2, len(w) + 1))))
         u = tuple(sorted(rng.sample(v, rng.randrange(1, len(v) + 1))))
         nx = rng.randrange(1, 3)
-        direct = join_inclusion(u, w, nx)
-        composed = _mul_shaped(join_inclusion(v, w, nx), join_inclusion(u, v, nx),
-                               (len(w) - 1) * nx, (len(v) - 1) * nx, (len(u) - 1) * nx)
+        rows, mid, cols = (len(w) - 1) * nx, (len(v) - 1) * nx, (len(u) - 1) * nx
+        direct = _dense(join_inclusion(u, w, nx), rows)
+        composed = _mul_shaped(_dense(join_inclusion(v, w, nx), rows), _dense(join_inclusion(u, v, nx), mid),
+                               rows, mid, cols)
         assert direct == composed
 
 
@@ -862,6 +912,65 @@ def test_mixed_functor_stabilizes_to_its_linear_part():
     expected = evaluate(cells_sequence(cells).truncate(1), dims_poly({0: 1}), signed=True)
     assert result["stable"] == {d: c for d, c in expected.c.items()}
     assert result["history"][0] == {0: 2}
+
+
+class _NonIntegralSpy:
+    """Passes evaluate and induced through, counting non-integral matrix entries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.non_integral = 0
+
+    def evaluate(self, degs):
+        return self.inner.evaluate(degs)
+
+    def induced(self, *args):
+        out = self.inner.induced(*args)
+        self.non_integral += sum(1 for col in out for x in col.values() if Fraction(x).denominator != 1)
+        return out
+
+
+def test_rational_induced_maps_keep_the_history():
+    """Sym^3 at one even and one odd line, excision degree 2.
+
+    Iterate 0 is by hand: with Koszul signs Sym^3(e + o) is e^3 in degree
+    0 plus e^2 o in degree 1 (o^2 dies), so {0: 1, 1: 1}.  Iterates 1-3
+    are frozen from the dense fraction-free elimination this engine
+    replaced.  It is the cheapest known input whose induced maps carry
+    non-integral entries into the next iterate's complexes.
+    """
+    result = t_n_oracle([Cell((3,))], 2, (0, 1), window=99, max_iter=3)
+    assert result["history"] == [
+        {0: 1, 1: 1},
+        {2: 2, 3: 3, 4: 1},
+        {2: 5, 3: 13, 4: 12, 5: 4},
+        {3: 20, 4: 62, 5: 63, 6: 21},
+    ]
+    spy = _NonIntegralSpy(TnFunctor(RealFunctor([Cell((3,))]), 2))
+    assert TnFunctor(spy, 2).evaluate((0, 1)).dims == result["history"][2]
+    assert spy.non_integral > 0
+
+
+def test_window_refusal_spares_every_window_an_iterate_reaches():
+    rng = random.Random(4241)
+    for _ in range(60):
+        cells = random_cells(rng, 3)
+        n = rng.randint(1, 2)
+        degs = tuple(rng.randrange(0, 3) for _ in range(rng.randint(1, 2)))
+        history = t_n_oracle(cells, n, degs, window=99, max_iter=2)["history"]
+        reached = [d for dims in history for d in dims]
+        if reached:
+            t_n_expected(cells, n, degs, min(reached))
+    # X (x) X at a line of degree 3: the value is {6: 1}, iterate 1 is {7: 1}
+    assert t_n_oracle([Cell((1, 1))], 1, (3,), window=99, max_iter=1)["history"] == [{6: 1}, {7: 1}]
+    for window in (-1, 1, 5):
+        with pytest.raises(ValueError):
+            t_n_expected([Cell((1, 1))], 1, (3,), window)
+    assert t_n_expected([Cell((1, 1))], 1, (3,), 6) == (6, {})
+    # Lambda^2 at an even line is zero, but its residue visits degree 1
+    assert t_n_expected([Cell((2,), sign=True)], 1, (0,), 1) == (1, {})
+    with pytest.raises(ValueError):
+        t_n_expected([Cell((2,), sign=True)], 1, (0,), 0)
 
 
 def test_budget_refusal():
