@@ -564,6 +564,11 @@ ORACLE_INSTANCES: tuple = (
     ("tensor-square-held-excision-four", (Cell((1, 1)),), 4, (0,)),
     ("tensor-cube-held-excision-four", (Cell((1, 1, 1)),), 4, (0,)),
     ("tensor-square-held-excision-four-two-letters", (Cell((1, 1)),), 4, (0, 1)),
+    # X (x) X (x) X is homogeneous of degree 3, so the second approximation
+    # kills it: {}.  At a line in degree 0 its residue climbs one degree per
+    # iterate ({0: 1}, {1: 5}, {2: 25}, {3: 125}, ...) and clears the
+    # default window of degrees <= 2 at iterate 3.
+    ("tensor-cube-vanishes-excision-two", (Cell((1, 1, 1)),), 2, (0,)),
 )
 
 

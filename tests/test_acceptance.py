@@ -16,7 +16,7 @@ from functorcalc.verify import ORACLE_INSTANCES, RunConfig, run_battery
 #: sha256 of the default report as ``functorcalc verify --json-out`` writes
 #: it.  A change to this value must be a deliberate change of the report
 #: (new checks, instances or record fields), never a side effect.
-DEFAULT_REPORT_SHA256 = "5a43964de676038beeccc25d1280dd03e42934a0bf1ff78359bbfe9994489f8a"
+DEFAULT_REPORT_SHA256 = "52a1d4fd40afa4ccb7f80213c777bece6c02318a9f481d760f15402c6d6d6c1e"
 
 
 @pytest.fixture(scope="module")
