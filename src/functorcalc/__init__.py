@@ -12,6 +12,8 @@ Layers, bottom up:
 * ``partitions``  integer partitions, set partitions, the refinement poset,
                   the shared cycle-index kernel ``class_sum``
 * ``exactpoly``   Laurent polynomials over the rationals (graded dimensions)
+                  and marked traces, on the additive base ``Sparse`` that
+                  ``symfun.PSPoly`` shares
 * ``characters``  symmetric-group class functions graded by degree
 * ``symfun``      the characteristic map to symmetric functions; plethysm
 * ``symseq``      symmetric sequences, the composition product, evaluation

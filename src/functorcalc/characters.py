@@ -1,7 +1,7 @@
 """Symmetric group characters, exact and graded.
 
 Irreducible characters are computed by border-strip recursion on beta
-numbers; dimensions are independently available through hook products.
+numbers (the tests check their dimensions against hook products).
 A ``GradedCharacter`` records, for one symmetric group, the graded trace
 of each conjugacy class as a Laurent polynomial in t, and supports the
 inner products, inductions and restrictions the composition product and
@@ -10,7 +10,6 @@ the derivative extraction are built from.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,38 +58,6 @@ def irreducible_character_value(lam: Partition, mu: Partition) -> int:
     if weight(lam) != weight(mu):
         raise ValueError(f"weights differ: {lam} vs {mu}")
     return _mn(_beta_set(lam), mu)
-
-
-def hook_dimension(lam: Partition) -> int:
-    """Dimension of the irreducible via the hook product (independent of the recursion)."""
-    dec = tuple(sorted(lam, reverse=True))
-    n = weight(lam)
-    cols = [0] * (dec[0] if dec else 0)
-    for row in dec:
-        for j in range(row):
-            cols[j] += 1
-    hooks = 1
-    for i, row in enumerate(dec):
-        for j in range(row):
-            hooks *= (row - j) + (cols[j] - i) - 1
-    return math.factorial(n) // hooks
-
-
-def cycle_type(perm: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation given in one-line notation on 0..n-1."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parts.append(length)
-    return tuple(sorted(parts))
 
 
 class GradedCharacter:
@@ -173,19 +140,13 @@ class GradedCharacter:
             out = out + prod.scale(Fraction(1, centralizer_order(mu)))
         return out
 
-    def multiplicity(self, lam: Partition) -> TPoly:
-        return self.inner(GradedCharacter.irreducible(lam))
-
     def schur_decomposition(self) -> dict[Partition, TPoly]:
         """Multiplicity polynomial of every irreducible; complete for class functions."""
-        return {lam: self.multiplicity(lam) for lam in partitions_of(self.n)}
+        return {lam: self.inner(GradedCharacter.irreducible(lam)) for lam in partitions_of(self.n)}
 
     def is_genuine(self) -> bool:
         """True when every irreducible occurs with nonnegative integer graded multiplicity."""
         return all(m.is_nonneg_integral() or not m for m in self.schur_decomposition().values())
-
-    def invariants_poly(self) -> TPoly:
-        return self.inner(GradedCharacter.trivial(self.n))
 
     def __repr__(self) -> str:
         return f"GradedCharacter(n={self.n}, values={self.values!r})"

@@ -240,7 +240,7 @@ def cmd_tower(args) -> int:
     except TruncationError as exc:
         raise InputError(str(exc)) from exc
     stage_value = evaluate(composite.truncate(n), X, args.signed)
-    layer_value = evaluate(composite.layer_part(n).truncate(n), X, args.signed)
+    layer_value = evaluate(composite.layer_part(n), X, args.signed)
     print(f"stage {n} value: {_dims_lines(stage_value)}")
     print(f"layer {n} value: {_dims_lines(layer_value)}")
     routes: dict[str, bool] = {}

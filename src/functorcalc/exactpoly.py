@@ -6,7 +6,9 @@ integer coefficients, graded traces are general TPolys.  ``MaskPoly``
 additionally carries a square-free product of marker variables (a bitmask)
 per term and silently drops any product in which a marker would repeat;
 this pruning is what isolates multilinear components in cross-effect and
-derivative extraction.
+derivative extraction.  Both, and ``symfun.PSPoly``, inherit their
+additive structure from one base, ``Sparse``, and define only their
+products.
 """
 
 from __future__ import annotations
@@ -25,17 +27,69 @@ def exact_div(v: Scalar, q: int) -> Scalar:
     return w.numerator if w.denominator == 1 else w
 
 
-class TPoly:
-    """Laurent polynomial in t, stored as {exponent: nonzero coefficient}."""
+class Sparse:
+    """Sparse {key: nonzero coefficient}, the additive structure shared by
+    ``TPoly``, ``MaskPoly`` and ``symfun.PSPoly``.
+
+    Coefficients are scalars or, for ``PSPoly``, ``TPoly``s; sums never
+    start from ``0`` and every method keeps zero coefficients out of the
+    dict.  Subclasses add their own product.  Equality holds within one
+    type only, and leaves instances unhashable unless a subclass says how.
+    """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        self.c: dict[int, Scalar] = {d: v for d, v in (coeffs or {}).items() if v}
+    def __init__(self, coeffs: dict | None = None):
+        self.c: dict = {k: v for k, v in (coeffs or {}).items() if v}
 
     @classmethod
-    def zero(cls) -> "TPoly":
+    def _wrap(cls, c: dict):
+        """An instance around a dict that is already free of zeros."""
+        res = cls.__new__(cls)
+        res.c = c
+        return res
+
+    @classmethod
+    def zero(cls):
         return cls()
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.c == other.c
+
+    def __add__(self, other):
+        out = dict(self.c)
+        for k, v in other.c.items():
+            w = out.get(k)
+            w = v if w is None else w + v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+        cls = type(self)  # built in place: this is the hot path of every route
+        res = cls.__new__(cls)
+        res.c = out
+        return res
+
+    def __neg__(self):
+        return self._wrap({k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def div_exact(self, q: int):
+        """Every coefficient divided by the integer q (see ``exact_div``)."""
+        return self._wrap({k: exact_div(v, q) for k, v in self.c.items()})
+
+
+class TPoly(Sparse):
+    """Laurent polynomial in t, stored as {exponent: nonzero coefficient}."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "TPoly":
@@ -45,49 +99,8 @@ class TPoly:
     def term(cls, degree: int, coeff: Scalar = 1) -> "TPoly":
         return cls({degree: coeff})
 
-    @classmethod
-    def constant(cls, coeff: Scalar) -> "TPoly":
-        return cls({0: coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.c == other.c
-
     def __hash__(self):
         return hash(frozenset(self.c.items()))
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.c)
-        for d, v in other.c.items():
-            w = out.get(d, 0) + v
-            if w:
-                out[d] = w
-            else:
-                out.pop(d, None)
-        res = TPoly.__new__(TPoly)
-        res.c = out
-        return res
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.c)
-        for d, v in other.c.items():
-            w = out.get(d, 0) - v
-            if w:
-                out[d] = w
-            else:
-                out.pop(d, None)
-        res = TPoly.__new__(TPoly)
-        res.c = out
-        return res
-
-    def __neg__(self) -> "TPoly":
-        res = TPoly.__new__(TPoly)
-        res.c = {d: -v for d, v in self.c.items()}
-        return res
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         out: dict[int, Scalar] = {}
@@ -99,22 +112,12 @@ class TPoly:
                     out[d] = w
                 else:
                     out.pop(d, None)
-        res = TPoly.__new__(TPoly)
-        res.c = out
-        return res
+        return TPoly._wrap(out)
 
     def scale(self, a: Scalar) -> "TPoly":
         if not a:
             return TPoly.zero()
-        res = TPoly.__new__(TPoly)
-        res.c = {d: a * v for d, v in self.c.items()}
-        return res
-
-    def div_exact(self, q: int) -> "TPoly":
-        """Every coefficient divided by the integer q (see ``exact_div``)."""
-        res = TPoly.__new__(TPoly)
-        res.c = {d: exact_div(v, q) for d, v in self.c.items()}
-        return res
+        return TPoly._wrap({d: a * v for d, v in self.c.items()})
 
     def twist(self, m: int, signed: bool) -> "TPoly":
         """Substitute t -> t^m, with t -> (-1)^(m-1) t^m in signed mode.
@@ -125,12 +128,8 @@ class TPoly:
         if m == 1:
             return self
         if signed and m % 2 == 0:
-            res = TPoly.__new__(TPoly)
-            res.c = {m * d: (v if d % 2 == 0 else -v) for d, v in self.c.items()}
-            return res
-        res = TPoly.__new__(TPoly)
-        res.c = {m * d: v for d, v in self.c.items()}
-        return res
+            return TPoly._wrap({m * d: (v if d % 2 == 0 else -v) for d, v in self.c.items()})
+        return TPoly._wrap({m * d: v for d, v in self.c.items()})
 
     def coeff(self, degree: int) -> Scalar:
         return self.c.get(degree, 0)
@@ -164,7 +163,7 @@ def dims_poly(dims: dict[int, int]) -> TPoly:
     return p
 
 
-class MaskPoly:
+class MaskPoly(Sparse):
     """Polynomial in t and square-free markers x_j, term key (mask, t-degree).
 
     The bitmask records which markers divide the term.  Multiplication drops
@@ -172,39 +171,12 @@ class MaskPoly:
     x_j^2 = 0 used for multilinear extraction.
     """
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], Scalar] | None = None):
-        self.c: dict[tuple[int, int], Scalar] = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def zero(cls) -> "MaskPoly":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def from_tpoly(cls, tp: TPoly, mask: int = 0) -> "MaskPoly":
-        res = cls.__new__(cls)
+        res = cls.__new__(cls)  # built in place: runs once per class in every trace
         res.c = {(mask, d): v for d, v in tp.c.items()}  # already nonzero
-        return res
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MaskPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __add__(self, other: "MaskPoly") -> "MaskPoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        res = MaskPoly.__new__(MaskPoly)
-        res.c = out
         return res
 
     def __mul__(self, other: "MaskPoly") -> "MaskPoly":
@@ -219,15 +191,7 @@ class MaskPoly:
                     out[k] = w
                 else:
                     out.pop(k, None)
-        res = MaskPoly.__new__(MaskPoly)
-        res.c = out
-        return res
-
-    def div_exact(self, q: int) -> "MaskPoly":
-        """Every coefficient divided by the integer q (see ``exact_div``)."""
-        res = MaskPoly.__new__(MaskPoly)
-        res.c = {k: exact_div(v, q) for k, v in self.c.items()}
-        return res
+        return MaskPoly._wrap(out)
 
     def coeff_mask(self, mask: int) -> TPoly:
         """The t-polynomial multiplying the given exact marker product."""

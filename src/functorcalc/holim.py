@@ -737,8 +737,7 @@ def t_n_expected(cells: list[Cell], n: int, degs: tuple[int, ...], window: int |
 
     That is the value of the degree-n truncation of the cells' sequence at
     the point with the given letter degrees, with Koszul signs like the
-    realization layer.  The default window reaches two past the highest
-    degree of that value and of the point.  Returns (window, {degree: dim}).
+    realization layer.  Returns (window, {degree: dim}).
 
     Raises ``ValueError`` when the window lies below every degree the
     functor or its iterates can hold at the point, so that the comparison
@@ -746,7 +745,10 @@ def t_n_expected(cells: list[Cell], n: int, degs: tuple[int, ...], window: int |
     (they contain the truncated value's) and, for a cell of arity m > n,
     at least c + m * a + (m - n), c its internal degree and a the lowest
     letter degree: joins raise letters by one and the cube's cohomology
-    lowers by at most n.  Cells of arity <= n are held.
+    lowers by at most n.  Cells of arity <= n are held.  The default
+    window reaches two past the highest degree of the truncated value and
+    of the point, and at least to the lowest of those reachable degrees,
+    so it is refused only when no degree is reachable at all.
     """
     from .exactpoly import dims_poly
     from .symseq import evaluate
@@ -754,11 +756,11 @@ def t_n_expected(cells: list[Cell], n: int, degs: tuple[int, ...], window: int |
     point = dims_poly({d: degs.count(d) for d in set(degs)})
     seq = cells_sequence(cells)
     value = evaluate(seq.truncate(n), point, signed=True)
-    if window is None:
-        window = max(list(value.support()) + list(degs) + [0]) + 2
     reachable = list(evaluate(seq, point, signed=True).support())
     if degs:
         reachable += [c.degree + c.n * min(degs) + c.n - n for c in set(cells) if c.n > n]
+    if window is None:
+        window = max(max(list(value.support()) + list(degs) + [0]) + 2, min(reachable, default=0))
     if not any(d <= window for d in reachable):
         raise ValueError(f"window {window} holds no degree of the functor or its iterates "
                          f"at the point, so the comparison would pass on nothing")

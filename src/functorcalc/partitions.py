@@ -56,10 +56,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))
-
-
 def block_structure(p: Partition) -> tuple[tuple[int, int], ...]:
     """Distinct part sizes with multiplicities: ((l_1, k_1), ..., (l_r, k_r)), l_1 < ... < l_r."""
     blocks: list[tuple[int, int]] = []
@@ -269,15 +265,5 @@ class PiPoset:
         for r in self.objects:
             for s in self.objects:
                 if r != s and self.leq(s, r):
-                    out.append((r, s))
-        return tuple(out)
-
-    def covers(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Arrows that decrease exactly one coordinate by exactly one."""
-        out = []
-        for r in self.objects:
-            for i in range(self.k):
-                if r[i] > 1:
-                    s = r[:i] + (r[i] - 1,) + r[i + 1 :]
                     out.append((r, s))
         return tuple(out)

@@ -19,31 +19,16 @@ import math
 from fractions import Fraction
 
 from .characters import GradedCharacter
-from .exactpoly import TPoly
+from .exactpoly import Sparse, TPoly
 from .partitions import Partition, centralizer_order, partitions_of
 
 Monomial = Partition  # p_mu, the product of p_m over the parts m of mu
 
 
-class PSPoly:
+class PSPoly(Sparse):
     """Polynomial in power sums, {monomial: coefficient}."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[Monomial, TPoly] | None = None):
-        self.c: dict[Monomial, TPoly] = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def zero(cls) -> "PSPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PSPoly":
-        return cls({(): TPoly.one()})
-
-    @classmethod
-    def var(cls, m: int) -> "PSPoly":
-        return cls({(m,): TPoly.one()})
+    __slots__ = ()
 
     @classmethod
     def from_character(cls, chi: GradedCharacter) -> "PSPoly":
@@ -54,26 +39,6 @@ class PSPoly:
                 out[mu] = val.scale(Fraction(1, centralizer_order(mu)))
         return cls(out)
 
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PSPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __add__(self, other: "PSPoly") -> "PSPoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, TPoly.zero()) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        res = PSPoly.__new__(PSPoly)
-        res.c = out
-        return res
-
     def mul(self, other: "PSPoly", max_weight: int | None = None) -> "PSPoly":
         out: dict[Monomial, TPoly] = {}
         for m1, v1 in self.c.items():
@@ -82,23 +47,21 @@ class PSPoly:
                 if max_weight is not None and w1 + sum(m2) > max_weight:
                     continue
                 mono = tuple(sorted(m1 + m2))
-                w = out.get(mono, TPoly.zero()) + v1 * v2
+                p = v1 * v2
+                w = out.get(mono)
+                w = p if w is None else w + p
                 if w:
                     out[mono] = w
                 else:
                     out.pop(mono, None)
-        res = PSPoly.__new__(PSPoly)
-        res.c = out
-        return res
+        return PSPoly._wrap(out)
 
     def __mul__(self, other: "PSPoly") -> "PSPoly":
         return self.mul(other)
 
     def div_exact(self, q: int) -> "PSPoly":
         """Every coefficient divided by the integer q (see ``TPoly.div_exact``)."""
-        res = PSPoly.__new__(PSPoly)
-        res.c = {k: v.div_exact(q) for k, v in self.c.items()}
-        return res
+        return PSPoly._wrap({k: v.div_exact(q) for k, v in self.c.items()})
 
     def twist(self, m: int, signed: bool) -> "PSPoly":
         """p_j -> p_{jm}; coefficients t -> (+-) t^m."""

@@ -33,7 +33,7 @@ from .partitions import (
     partitions_of,
     weight,
 )
-from .symfun import PSPoly, RationalSeries, plethysm
+from .symfun import PSPoly, plethysm
 
 
 class TruncationError(ValueError):
@@ -113,10 +113,6 @@ class SymSeq:
         if not self.complete and bound > self.bound:
             raise TruncationError(f"cannot widen window {self.bound} to {bound}")
         return SymSeq({m: chi for m, chi in self.entries.items() if m <= bound}, bound)
-
-    def dims_series(self, order: int) -> RationalSeries:
-        """Exponential generating function of graded entry dimensions."""
-        return RationalSeries([self.entry(n).dim_poly() for n in range(order + 1)])
 
     def is_genuine(self) -> bool:
         return all(chi.is_genuine() for chi in self.entries.values())

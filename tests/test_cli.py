@@ -265,6 +265,20 @@ def test_tn_oracle_accepts_bare_cell_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tn_oracle_default_window_reaches_the_functor(tmp_path, capsys):
+    # X (x) X in internal degree 5 at a degree-0 line sits in degree 5 and its
+    # truncation T_1 is zero; a default window of two past the point held
+    # nothing and was refused, so the default now reaches degree 5
+    cells = tmp_path / "high.json"
+    cells.write_text(json.dumps([{"composition": [1, 1], "degree": 5}]))
+    out = tmp_path / "o.json"
+    assert main(["tn-oracle", str(cells), "--excision-degree", "1",
+                 "--space", "0", "--json-out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["window"] == 5 and doc["matches_truncation"] is True
+    capsys.readouterr()
+
+
 def test_tn_oracle_budget_exit(tmp_path, capsys):
     cells = tmp_path / "big.json"
     cells.write_text(json.dumps({"cells": cells_to_json(
