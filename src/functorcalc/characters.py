@@ -72,7 +72,8 @@ class GradedCharacter:
 
     def __init__(self, n: int, values: dict[Partition, TPoly]):
         self.n = n
-        self.values = {mu: values.get(mu, TPoly.zero()) for mu in partitions_of(n)}
+        zero = TPoly.zero()  # shared: no code mutates a TPoly's coefficients
+        self.values = {mu: values.get(mu, zero) for mu in partitions_of(n)}
 
     @classmethod
     def zero(cls, n: int) -> "GradedCharacter":

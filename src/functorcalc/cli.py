@@ -27,6 +27,7 @@ import sys
 from .exactpoly import TPoly, dims_poly
 from .functor import (
     dn_product_value,
+    fgl_derivatives,
     pn_limit_value,
     tower_stage_square_value,
 )
@@ -34,7 +35,6 @@ from .holim import BudgetError, cells_from_json, t_n_expected, t_n_oracle
 from .partitions import partition
 from .symseq import (
     SymSeq,
-    TruncationError,
     compose,
     compose_around,
     compose_plethysm,
@@ -135,11 +135,8 @@ def cmd_compose(args) -> int:
     A = _load_seq(args.outer)
     B = _load_seq(args.inner)
     _require_reduced(B, args.inner)
-    try:
-        lhs = compose(A, B, signed=args.signed, bound=args.bound)
-        rhs = compose_plethysm(A, B, signed=args.signed, bound=args.bound)
-    except TruncationError as exc:
-        raise InputError(str(exc)) from exc
+    lhs = compose(A, B, signed=args.signed, bound=args.bound)
+    rhs = compose_plethysm(A, B, signed=args.signed, bound=args.bound)
     window = lhs.bound if lhs.bound is not None else lhs.degree()
     agree = lhs.agrees_with(rhs, window)
     for n in sorted(lhs.entries):
@@ -208,13 +205,8 @@ def cmd_derivative(args) -> int:
         raise InputError(f"{args.partition!r} is not a partition (positive parts)")
     lam = partition(parts)
     n = sum(lam)
-    try:
-        summand = composition_summand(F, G, lam, args.signed)
-        from .functor import fgl_derivatives
-
-        routed = fgl_derivatives(F, G, lam, n, args.signed).entry(n)
-    except TruncationError as exc:
-        raise InputError(str(exc)) from exc
+    summand = composition_summand(F, G, lam, args.signed)
+    routed = fgl_derivatives(F, G, lam, n, args.signed).entry(n)
     agree = summand == routed
     print(f"summand of the partition {list(lam)} at arity {n}: "
           f"dim {_dims_lines(summand.dim_poly())}")
@@ -235,10 +227,7 @@ def cmd_tower(args) -> int:
     n = args.stage
     if n < 1:
         raise InputError("stage must be at least 1")
-    try:
-        composite = compose(F, G, signed=args.signed, bound=n)
-    except TruncationError as exc:
-        raise InputError(str(exc)) from exc
+    composite = compose(F, G, signed=args.signed, bound=n)
     stage_value = evaluate(composite.truncate(n), X, args.signed)
     layer_value = evaluate(composite.layer_part(n), X, args.signed)
     print(f"stage {n} value: {_dims_lines(stage_value)}")
@@ -266,15 +255,11 @@ def cmd_tn_oracle(args) -> int:
     cells = _load_cells(args.cells)
     degs = _parse_degrees(args.space)
     n = args.excision_degree
-    if n < 1:
-        raise InputError("excision degree must be at least 1")
+    for name, value in [("excision degree", n), ("--max-iter", args.max_iter), ("--budget", args.budget)]:
+        if value < 1:
+            raise InputError(f"{name} must be at least 1")
     window, expected = t_n_expected(cells, n, degs, args.window)
-    try:
-        out = t_n_oracle(cells, n, degs, window=window,
-                         max_iter=args.max_iter, budget=args.budget)
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 3
+    out = t_n_oracle(cells, n, degs, window=window, max_iter=args.max_iter, budget=args.budget)
     for i, dims in enumerate(out["history"]):
         shown = ", ".join(f"t^{d}:{v}" for d, v in sorted(dims.items())) or "0"
         print(f"iterate {i}: {shown}")
@@ -425,10 +410,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TruncationError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -174,9 +174,9 @@ class MaskPoly(Sparse):
     __slots__ = ()
 
     @classmethod
-    def from_tpoly(cls, tp: TPoly, mask: int = 0) -> "MaskPoly":
+    def from_tpoly(cls, tp: TPoly) -> "MaskPoly":
         res = cls.__new__(cls)  # built in place: runs once per class in every trace
-        res.c = {(mask, d): v for d, v in tp.c.items()}  # already nonzero
+        res.c = {(0, d): v for d, v in tp.c.items()}  # already nonzero
         return res
 
     def __mul__(self, other: "MaskPoly") -> "MaskPoly":

@@ -24,6 +24,15 @@ shift degree by one, so the construction is only conservative when
 permutations act with Koszul signs; the realization layer therefore
 always applies them.
 
+Every realized functor has the same two methods, memoized on degrees
+by their shared base ``Realized``: ``evaluate(degs)`` gives the value at
+the space with those letter degrees (an object with ``.degs``, the
+degree of each basis vector, and ``.dims``), and
+``induced(f, src_degs, tgt_degs)`` gives the sparse matrix of the
+functor applied to a letter map f between two such spaces.  A value
+depends only on its degrees, so ``induced`` reads both ends from the
+``evaluate`` memo.
+
 All of it stands on one exact primitive, a sparse integer echelon basis
 (``Echelon``) whose rows carry the integer combination of inputs they
 equal: kernels of differentials are the combinations that reduce to
@@ -239,6 +248,14 @@ class DegreeComplex:
         self.levels = [Subquotient(kernel(c), cols[p - 1] if p else []) for p, c in enumerate(cols)]
 
 
+def _dims(degs: tuple[int, ...]) -> dict[int, int]:
+    """{degree: multiplicity} of a basis, in order of first appearance."""
+    out: dict[int, int] = {}
+    for d in degs:
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
 class CubeLimit:
     """Homotopy limit of a punctured cube of graded spaces, with chosen bases.
 
@@ -253,7 +270,8 @@ class CubeLimit:
     times the map, k the position of x in V (Munson and Volic, *Cubical
     Homotopy Theory*, on homotopy limits of punctured cubes).  Each vertex
     is one summand, so the complexes of all slices together are exactly as
-    large as the spaces.
+    large as the spaces.  The value's basis degrees are ``degs``, in
+    ascending order, and ``dims`` counts them per degree.
     """
 
     def __init__(self, subsets: list, maps: dict, spaces: dict):
@@ -272,16 +290,17 @@ class CubeLimit:
         self.owners: dict = {}
         degrees = sorted({d for degs in spaces.values() for d in degs})
         self.complexes = {e: self._build_complex(e, maps) for e in degrees}
-        # basis layout of the value: per output degree d, blocks (e, i)
-        self.dims: dict[int, int] = {}
-        layout: dict[int, list[tuple[int, int]]] = {}
-        for e, cx in self.complexes.items():
-            for i, level in enumerate(cx.levels):
-                if level.dim:
-                    d = e - i
-                    layout.setdefault(d, []).append((e, i))
-                    self.dims[d] = self.dims.get(d, 0) + level.dim
-        self.layouts = {d: sorted(blocks) for d, blocks in layout.items()}
+        # basis of the value: the i-th cohomology of slice e lies in degree
+        # e - i; blocks[(e, i)] is its first index, in ascending degree
+        self.blocks: dict[tuple[int, int], int] = {}
+        degs: list[int] = []
+        for d, e, i in sorted((e - i, e, i) for e, cx in self.complexes.items() for i in range(len(cx.levels))):
+            dim = self.complexes[e].levels[i].dim
+            if dim:
+                self.blocks[(e, i)] = len(degs)
+                degs += [d] * dim
+        self.degs = tuple(degs)
+        self.dims = _dims(self.degs)
 
     def _build_complex(self, e: int, maps: dict) -> DegreeComplex:
         owners: list[list] = []
@@ -306,12 +325,6 @@ class CubeLimit:
                 cols[-1].append(col)
         return DegreeComplex(cols)
 
-    def value_degrees(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for d in sorted(self.layouts):
-            out.extend([d] * self.dims[d])
-        return tuple(out)
-
     def induced_map(self, other: "CubeLimit", object_maps: dict) -> Matrix:
         """Matrix of the map of limits induced by object_maps: self -> other.
 
@@ -320,26 +333,17 @@ class CubeLimit:
         squares (any failure surfaces as a vector falling outside a kernel
         span).
         """
-        out: Matrix = [{} for _ in self.value_degrees()]
-        tgt_offsets: dict[tuple[int, int], int] = {}
-        pos = 0
-        for d in sorted(other.layouts):
-            for block in other.layouts[d]:
-                tgt_offsets[block] = pos
-                pos += other.complexes[block[0]].levels[block[1]].dim
-        col = 0
-        for d in sorted(self.layouts):
-            for (e, i) in self.layouts[d]:
-                reps = self.complexes[e].levels[i].reps
-                # a missing target block means that cohomology vanishes;
-                # the pushed cocycles are then boundaries and map to zero
-                if (e, i) in tgt_offsets:
-                    target = other.complexes[e].levels[i]
-                    base = tgt_offsets[(e, i)]
-                    for c, rep in enumerate(reps):
-                        pushed = self._push(other, object_maps, e, i, rep)
-                        out[col + c] = {base + r: val for r, val in target.coords(pushed).items()}
-                col += len(reps)
+        out: Matrix = [{} for _ in self.degs]
+        for (e, i), col in self.blocks.items():
+            # a missing target block means that cohomology vanishes;
+            # the pushed cocycles are then boundaries and map to zero
+            base = other.blocks.get((e, i))
+            if base is None:
+                continue
+            target = other.complexes[e].levels[i]
+            for c, rep in enumerate(self.complexes[e].levels[i].reps):
+                pushed = self._push(other, object_maps, e, i, rep)
+                out[col + c] = {base + r: val for r, val in target.coords(pushed).items()}
         return out
 
     def _push(self, other: "CubeLimit", object_maps: dict, e: int, p: int, vec: Vec) -> Vec:
@@ -441,6 +445,40 @@ def _canonical_word(cell: Cell, rows: tuple[tuple[int, ...], ...], degs: tuple[i
     return tuple(out_rows), coeff
 
 
+class Realized:
+    """A functor realized by bases and matrices, memoized on degrees.
+
+    ``evaluate(degs)`` is the value at the space whose basis letters have
+    the given degrees; ``induced(f, src_degs, tgt_degs)`` is the matrix of
+    the functor applied to the letter map f (sparse columns, one per
+    source letter) between two such spaces.  Subclasses compute them in
+    ``_evaluate`` and ``_induced``, which may read both ends of the map
+    from ``evaluate``: a value depends only on its degrees, so each is
+    computed once.  Iterated approximations evaluate the same inner
+    functor on the same spaces over and over, and the memos turn that
+    repetition from exponential to linear.
+    """
+
+    def __init__(self):
+        self._values: dict = {}
+        self._maps: dict = {}
+
+    def evaluate(self, degs: tuple[int, ...]):
+        degs = tuple(degs)
+        value = self._values.get(degs)
+        if value is None:
+            value = self._values[degs] = self._evaluate(degs)
+        return value
+
+    def induced(self, f: Matrix, src_degs: tuple[int, ...], tgt_degs: tuple[int, ...]) -> Matrix:
+        src_degs, tgt_degs = tuple(src_degs), tuple(tgt_degs)
+        key = (tuple(tuple(col.items()) for col in f), src_degs, tgt_degs)
+        out = self._maps.get(key)
+        if out is None:
+            out = self._maps[key] = self._induced(f, src_degs, tgt_degs)
+        return out
+
+
 class RealValue:
     """Ordered basis of an evaluated functor: (cell index, word) per vector."""
 
@@ -453,30 +491,17 @@ class RealValue:
 
     @property
     def dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.degs:
-            out[d] = out.get(d, 0) + 1
-        return out
+        return _dims(self.degs)
 
 
-class RealFunctor:
-    """Sum of cells, evaluated by explicit orbit bases and matrices.
-
-    Values and induced matrices are memoized: iterated approximations
-    evaluate the same inner functor on the same spaces over and over,
-    and the caches turn that repetition from exponential to linear.
-    """
+class RealFunctor(Realized):
+    """Sum of cells, evaluated by explicit orbit bases and matrices."""
 
     def __init__(self, cells: list[Cell]):
+        super().__init__()
         self.cells = list(cells)
-        self._values: dict = {}
-        self._maps: dict = {}
 
-    def evaluate(self, degs: tuple[int, ...]) -> RealValue:
-        degs = tuple(degs)
-        cached = self._values.get(degs)
-        if cached is not None:
-            return cached
+    def _evaluate(self, degs: tuple[int, ...]) -> RealValue:
         basis = []
         out_degs = []
         nletters = len(degs)
@@ -484,9 +509,7 @@ class RealFunctor:
             for rows in self._cell_words(cell, nletters, degs):
                 basis.append((ci, rows))
                 out_degs.append(cell.degree + sum(degs[l] for row in rows for l in row))
-        value = RealValue(tuple(out_degs), basis)
-        self._values[degs] = value
-        return value
+        return RealValue(tuple(out_degs), basis)
 
     def _cell_words(self, cell: Cell, nletters: int, degs: tuple[int, ...]):
         def row_choices(length: int):
@@ -505,17 +528,14 @@ class RealFunctor:
         for combo in iproduct(*[row_choices(a) for a in cell.alpha]):
             yield tuple(combo)
 
-    def induced(self, f: Matrix, src: RealValue, tgt: RealValue, src_degs, tgt_degs) -> Matrix:
+    def _induced(self, f: Matrix, src_degs: tuple[int, ...], tgt_degs: tuple[int, ...]) -> Matrix:
         """Matrix of the functor applied to a linear map given on bases.
 
         f[j][i] = coefficient of target letter i in the image of source
         letter j; the induced map expands multilinearly over the word
         slots and re-canonicalizes each resulting word.
         """
-        key = (_matrix_key(f), tuple(src_degs), tuple(tgt_degs))
-        cached = self._maps.get(key)
-        if cached is not None:
-            return cached
+        src, tgt = self.evaluate(src_degs), self.evaluate(tgt_degs)
         out: Matrix = []
         for ci, rows in src.basis:
             cell = self.cells[ci]
@@ -529,7 +549,7 @@ class RealFunctor:
                 letters = [i for i, _ in pick]
                 it = iter(letters)
                 new_rows = tuple(tuple(next(it) for _ in range(s)) for s in shape)
-                canon, sgn = _canonical_word(cell, new_rows, tuple(tgt_degs))
+                canon, sgn = _canonical_word(cell, new_rows, tgt_degs)
                 if canon is None:
                     continue
                 row_idx = tgt.index.get((ci, canon))
@@ -537,12 +557,7 @@ class RealFunctor:
                     raise ArithmeticError("image word missing from target basis")
                 col[row_idx] = col.get(row_idx, 0) + coeff * sgn
             out.append({i: x for i, x in col.items() if x})
-        self._maps[key] = out
         return out
-
-
-def _matrix_key(f: Matrix) -> tuple:
-    return tuple(tuple(col.items()) for col in f)
 
 
 # ---------------------------------------------------------------------------
@@ -576,93 +591,51 @@ def join_inclusion(u: tuple[int, ...], v: tuple[int, ...], nx: int) -> Matrix:
     return out
 
 
-class TnValue:
-    """Value of an excisive approximation: a punctured-cube limit plus caches."""
-
-    __slots__ = ("degs", "limit", "inner_values", "dims")
-
-    def __init__(self, degs, limit: CubeLimit, inner_values: dict):
-        self.degs = degs
-        self.limit = limit
-        self.inner_values = inner_values
-        self.dims = {}
-        for d in degs:
-            self.dims[d] = self.dims.get(d, 0) + 1
-
-
-class TnFunctor:
+class TnFunctor(Realized):
     """The homotopy limit of F(U * X) over nonempty U in a (n+1)-point set.
 
-    Wraps any functor exposing evaluate/induced; wrapping its own output
-    iterates the construction.  A budget caps the total basis size of the
-    values F(U * X), summed over the vertices U; the cubical complexes
-    have one summand per vertex, so the same total bounds the chain
-    complexes whose cohomology is the value.
+    Wraps any functor with the two-method interface of ``Realized``
+    (``evaluate(degs)``, ``induced(f, src_degs, tgt_degs)``) and has it
+    too: its value is the ``CubeLimit`` itself, and wrapping its own
+    output iterates the construction.  A budget caps the total basis size
+    of the values F(U * X), summed over the vertices U; the cubical
+    complexes have one summand per vertex, so the same total bounds the
+    chain complexes whose cohomology is the value.
     """
 
     def __init__(self, inner, n: int, budget: int = 200000):
+        super().__init__()
         self.inner = inner
         self.n = n
         self.budget = budget
-        self._values: dict = {}
-        self._maps: dict = {}
+        self.subsets = [u for size in range(1, n + 2) for u in combinations(range(n + 1), size)]
 
-    def _cube(self):
-        points = tuple(range(self.n + 1))
-        subsets = []
-        for size in range(1, len(points) + 1):
-            subsets.extend(combinations(points, size))
-        return subsets
-
-    def evaluate(self, degs: tuple[int, ...]) -> TnValue:
-        degs = tuple(degs)
-        cached = self._values.get(degs)
-        if cached is not None:
-            return cached
-        subsets = self._cube()
-        inner_values = {}
+    def _evaluate(self, degs: tuple[int, ...]) -> CubeLimit:
+        joins = {u: join_space(len(u), degs) for u in self.subsets}
+        # every vertex is evaluated, and the budget checked, before any map
         spaces = {}
         total = 0
-        for u in subsets:
-            udegs = join_space(len(u), degs)
-            val = self.inner.evaluate(udegs)
-            inner_values[u] = (udegs, val)
-            spaces[u] = val.degs
-            total += len(val.degs)
+        for u in self.subsets:
+            spaces[u] = self.inner.evaluate(joins[u]).degs
+            total += len(spaces[u])
             if total > self.budget:
                 raise BudgetError(f"evaluation size {total} exceeds budget {self.budget}")
         maps = {}
-        nx = len(degs)
-        for v in subsets:
-            if len(v) == 1:
-                continue
-            vdegs, vval = inner_values[v]
+        for v in self.subsets[self.n + 1 :]:  # past the singletons, which receive none
             for k in range(len(v)):
                 u = v[:k] + v[k + 1 :]
-                udegs, uval = inner_values[u]
-                maps[(u, v)] = self.inner.induced(join_inclusion(u, v, nx), uval, vval, udegs, vdegs)
-        limit = CubeLimit(subsets, maps, spaces)
-        value = TnValue(limit.value_degrees(), limit, inner_values)
-        self._values[degs] = value
-        return value
+                maps[(u, v)] = self.inner.induced(join_inclusion(u, v, len(degs)), joins[u], joins[v])
+        return CubeLimit(self.subsets, maps, spaces)
 
-    def induced(self, f: Matrix, src: TnValue, tgt: TnValue, src_degs, tgt_degs) -> Matrix:
-        key = (_matrix_key(f), tuple(src_degs), tuple(tgt_degs))
-        cached = self._maps.get(key)
-        if cached is not None:
-            return cached
-        object_maps = {}
-        nx_src = len(src_degs)
+    def _induced(self, f: Matrix, src_degs: tuple[int, ...], tgt_degs: tuple[int, ...]) -> Matrix:
+        src, tgt = self.evaluate(src_degs), self.evaluate(tgt_degs)
         nx_tgt = len(tgt_degs)
-        for u in self._cube():
+        object_maps = {}
+        for u in self.subsets:
             # f on each of the |U| - 1 copies of X
-            block = [{rep * nx_tgt + i: x for i, x in f[j].items()} for rep in range(len(u) - 1) for j in range(nx_src)]
-            su_degs, su_val = src.inner_values[u]
-            tu_degs, tu_val = tgt.inner_values[u]
-            object_maps[u] = self.inner.induced(block, su_val, tu_val, su_degs, tu_degs)
-        out = src.limit.induced_map(tgt.limit, object_maps)
-        self._maps[key] = out
-        return out
+            block = [{rep * nx_tgt + i: x for i, x in col.items()} for rep in range(len(u) - 1) for col in f]
+            object_maps[u] = self.inner.induced(block, join_space(len(u), src_degs), join_space(len(u), tgt_degs))
+        return src.induced_map(tgt, object_maps)
 
 
 def cell_character(cell: Cell):

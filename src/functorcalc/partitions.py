@@ -142,7 +142,7 @@ def class_sum(groups, value, image, lift):
             continue
         # integral Fraction coefficients become ints here, once per class
         scaled = {d: v.numerator * size if v.denominator == 1 else v * size for d, v in val.c.items()}
-        term = lift(TPoly(scaled))
+        term = lift(TPoly._wrap(scaled))  # class sizes are >= 1: no zeros
         for i, m in parts:
             term = term * image(i, m)
             if not term:

@@ -108,15 +108,6 @@ class SymSeq:
         """The single entry n, as a complete sequence."""
         return SymSeq({n: self.entry(n)})
 
-    def window(self, bound: int) -> "SymSeq":
-        """Forget everything above the bound (keeps entries, marks truncated)."""
-        if not self.complete and bound > self.bound:
-            raise TruncationError(f"cannot widen window {self.bound} to {bound}")
-        return SymSeq({m: chi for m, chi in self.entries.items() if m <= bound}, bound)
-
-    def is_genuine(self) -> bool:
-        return all(chi.is_genuine() for chi in self.entries.values())
-
     def __repr__(self) -> str:
         rng = "complete" if self.complete else f"bound={self.bound}"
         return f"SymSeq({sorted(self.entries)}, {rng})"

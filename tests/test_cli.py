@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from functorcalc import cli
 from functorcalc.cli import main
 from functorcalc.generate import random_cells, random_space
 from functorcalc.holim import Cell, cells_from_json, cells_sequence, cells_to_json
@@ -120,6 +121,34 @@ def test_seq_json_rejects_malformed():
             {"d": 0, "character": [[[2], 1]]}]}]})  # partition of the wrong weight
 
 
+def test_json_loaders_return_or_raise_value_error():
+    """JSON-shaped documents keyed by the formats' own field names: each
+    loader returns or raises ValueError, the error the CLI turns into exit 2."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    fields = ["bound", "entries", "n", "degrees", "d", "character", "cells", "dims",
+              "composition", "sign", "degree", "multiplicity", "0", "1", "-1"]
+    # small integers keep cell arities, and so character tables, small
+    leaves = st.none() | st.booleans() | st.integers(-1, 2) | st.sampled_from(fields + ["1/2", "-3/4", "1/0", "x"])
+    documents = st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(fields), kids, max_size=4),
+        max_leaves=12,
+    )
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(documents)
+    def check(doc):
+        for loader in (seq_from_json, space_from_json, cells_from_json):
+            try:
+                loader(doc)
+            except ValueError:
+                pass
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # compose / chainrule / derivative / tower
 
@@ -132,6 +161,19 @@ def test_compose_command_agrees(pair, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["paths_agree"] is True
     assert seq_from_json(doc["result"]) == compose(F, G)
+
+
+def test_compose_beyond_a_truncated_window_exits_two(pair, tmp_path, capsys):
+    fp, gp, F, _ = pair
+    doc = seq_to_json(F)
+    doc["bound"] = 2
+    doc["entries"] = [e for e in doc["entries"] if e["n"] <= 2]
+    fb = tmp_path / "Fb.json"
+    fb.write_text(json.dumps(doc))
+    assert main(["compose", str(fb), str(gp), "--bound", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: composite bound 5 exceeds known window 2\n"
 
 
 def test_compose_rejects_non_reduced_inner(pair, tmp_path, capsys):
@@ -286,6 +328,24 @@ def test_tn_oracle_budget_exit(tmp_path, capsys):
     assert main(["tn-oracle", str(cells), "--excision-degree", "2",
                  "--space", "0,0", "--budget", "40"]) == 3
     assert "exceeds budget" in capsys.readouterr().err
+
+
+def test_tn_oracle_refuses_non_positive_iterations_and_budget(tmp_path, capsys, monkeypatch):
+    # these ran before: --max-iter 0 or -1 reported no stabilization (exit 1),
+    # and --budget -5 was refused as exceeded (exit 3)
+    cells = tmp_path / "sq.json"
+    cells.write_text(json.dumps([{"composition": [1, 1]}]))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "t_n_expected", no_work)
+    monkeypatch.setattr(cli, "t_n_oracle", no_work)
+    for flag, value in [("--max-iter", "-1"), ("--max-iter", "0"), ("--budget", "-5"), ("--budget", "0")]:
+        assert main(["tn-oracle", str(cells), "--excision-degree", "1", "--space", "0", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be at least 1\n"
 
 
 def test_tn_oracle_rejects_entries_only_file(pair, capsys):

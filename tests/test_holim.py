@@ -386,20 +386,19 @@ class PosetDiagramValue:
         rel = set(rel_maps)
         self.chain_lists = _chains(self.objects, rel, max_len=len(self.objects))
         self.all_degrees = sorted({d for degs in spaces.values() for d in degs})
-        self.complexes: dict[int, DegreeComplex] = {}
-        self.layouts: dict[int, list[tuple[int, int]]] = {}
-        for e in self.all_degrees:
-            self.complexes[e] = self._build_complex(e)
-        # basis layout of the value: per output degree d, blocks (e, i)
+        self.complexes = {e: self._build_complex(e) for e in self.all_degrees}
+        # basis of the value: the i-th cohomology of slice e lies in degree
+        # e - i; blocks[(e, i)] is its first index, in ascending degree
+        self.blocks: dict[tuple[int, int], int] = {}
         self.dims: dict[int, int] = {}
-        layout: dict[int, list[tuple[int, int]]] = {}
-        for e, cx in self.complexes.items():
-            for i, level in enumerate(cx.levels):
-                if level.dim:
-                    d = e - i
-                    layout.setdefault(d, []).append((e, i))
-                    self.dims[d] = self.dims.get(d, 0) + level.dim
-        self.layouts = {d: sorted(blocks) for d, blocks in layout.items()}
+        degs: list[int] = []
+        for d, e, i in sorted((e - i, e, i) for e, cx in self.complexes.items() for i in range(len(cx.levels))):
+            dim = self.complexes[e].levels[i].dim
+            if dim:
+                self.blocks[(e, i)] = len(degs)
+                degs += [d] * dim
+                self.dims[d] = self.dims.get(d, 0) + dim
+        self.degs = tuple(degs)
 
     def _slice_dims(self, e: int) -> dict:
         return {x: sum(1 for d in self.spaces[x] if d == e) for x in self.objects}
@@ -451,12 +450,6 @@ class PosetDiagramValue:
         cols = [_columns(mat, chain_dims[p]) for p, mat in enumerate(diffs)]
         return DegreeComplex(cols + [[{} for _ in range(chain_dims[-1])]])
 
-    def value_degrees(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for d in sorted(self.layouts):
-            out.extend([d] * self.dims[d])
-        return tuple(out)
-
     def induced_map(self, other: "PosetDiagramValue", object_maps: dict) -> Matrix:
         """Matrix of the map of limits induced by object_maps: self -> other.
 
@@ -464,31 +457,20 @@ class PosetDiagramValue:
         the diagrams must have the same shape and commuting squares (any
         failure surfaces as a vector falling outside a kernel span).
         """
-        src_degs = self.value_degrees()
-        tgt_degs = other.value_degrees()
-        out = [[0] * len(src_degs) for _ in tgt_degs]
-        col = 0
-        tgt_offsets: dict[tuple[int, int], int] = {}
-        pos = 0
-        for d in sorted(other.layouts):
-            for block in other.layouts[d]:
-                tgt_offsets[block] = pos
-                pos += other.complexes[block[0]].levels[block[1]].dim
-        for d in sorted(self.layouts):
-            for (e, i) in self.layouts[d]:
-                level = self.complexes[e].levels[i]
-                for rep in level.reps:
-                    # push the representative through the cochain map at (e, i)
-                    dense = [rep.get(k, 0) for k in range(self.complexes[e].dims[i])]
-                    pushed = self._push_chain_vector(other, object_maps, e, i, dense)
-                    if (e, i) in tgt_offsets:
-                        coords = other.complexes[e].levels[i].coords(_sparse(pushed))
-                        base = tgt_offsets[(e, i)]
-                        for r, val in coords.items():
-                            out[base + r][col] = val
-                    # a missing target block means that cohomology vanishes;
-                    # the pushed cocycle is then a boundary and maps to zero
-                    col += 1
+        out = [[0] * len(self.degs) for _ in other.degs]
+        for (e, i), col in self.blocks.items():
+            level = self.complexes[e].levels[i]
+            for c, rep in enumerate(level.reps):
+                # push the representative through the cochain map at (e, i)
+                dense = [rep.get(k, 0) for k in range(self.complexes[e].dims[i])]
+                pushed = self._push_chain_vector(other, object_maps, e, i, dense)
+                # a missing target block means that cohomology vanishes;
+                # the pushed cocycle is then a boundary and maps to zero
+                if (e, i) in other.blocks:
+                    coords = other.complexes[e].levels[i].coords(_sparse(pushed))
+                    base = other.blocks[(e, i)]
+                    for r, val in coords.items():
+                        out[base + r][col + c] = val
         return out
 
     def _push_chain_vector(self, other: "PosetDiagramValue", object_maps, e: int, p: int, vec: list) -> list:
@@ -549,7 +531,7 @@ class DenseCube(CubeLimit):
 
     def induced_map(self, other, object_maps):
         sparse = {u: _columns(m, self.sizes[u]) for u, m in object_maps.items()}
-        return _dense(super().induced_map(other, sparse), len(other.value_degrees()))
+        return _dense(super().induced_map(other, sparse), len(other.degs))
 
 
 #: both engines take (objects, maps, spaces); the nerve reads every related
@@ -619,7 +601,7 @@ def test_induced_map_of_scalar_is_scalar():
     for engine in ENGINES:
         value = engine([A, B, AB], rel, spaces)
         doubled = value.induced_map(value, {A: [[2]], B: [[2]], AB: [[2, 0], [0, 2]]})
-        n = len(value.value_degrees())
+        n = len(value.degs)
         assert n == sum(value.dims.values())
         assert doubled == [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -634,23 +616,23 @@ def _related(subsets):
 
 def _join_cube(functor, subsets, degs):
     """U -> F(U * X): its values, and its maps on every related pair."""
-    values = {u: (join_space(len(u), degs), functor.evaluate(join_space(len(u), degs))) for u in subsets}
+    joins = {u: join_space(len(u), degs) for u in subsets}
+    values = {u: functor.evaluate(joins[u]) for u in subsets}
     maps = {}
     for u, v in _related(subsets):
-        (udegs, uval), (vdegs, vval) = values[u], values[v]
-        maps[(u, v)] = _dense(functor.induced(join_inclusion(u, v, len(degs)), uval, vval, udegs, vdegs), len(vval.degs))
+        maps[(u, v)] = _dense(functor.induced(join_inclusion(u, v, len(degs)), joins[u], joins[v]), len(values[v].degs))
     return values, maps
 
 
-def _join_object_maps(functor, f, src, tgt):
-    """F(U * f) at every vertex U, for a map f of letters (rows: target letters)."""
-    ny, nx = len(f), len(f[0])
+def _join_object_maps(functor, f, subsets, x, y):
+    """F(U * f) at every vertex U, for a map f of letters of degrees x to
+    letters of degrees y (rows: target letters)."""
     out = {}
-    for u, (sdegs, sval) in src.items():
-        tdegs, tval = tgt[u]
-        block = [[f[i % ny][j % nx] if i // ny == j // nx else 0 for j in range(len(sdegs))]
+    for u in subsets:
+        sdegs, tdegs = join_space(len(u), x), join_space(len(u), y)
+        block = [[f[i % len(y)][j % len(x)] if i // len(y) == j // len(x) else 0 for j in range(len(sdegs))]
                  for i in range(len(tdegs))]
-        out[u] = _induced(functor, block, sval, tval, sdegs, tdegs)
+        out[u] = _induced(functor, block, sdegs, tdegs)
     return out
 
 
@@ -669,13 +651,8 @@ def _diagonal_cube(subsets, scalars):
 def _block_ranks(src, tgt, matrix):
     """Rank of each (slice, level) block of an induced map, and of the whole map."""
     def offsets(value):
-        out, pos = {}, 0
-        for d in sorted(value.layouts):
-            for e, i in value.layouts[d]:
-                dim = value.complexes[e].levels[i].dim
-                out[(e, i)] = range(pos, pos + dim)
-                pos += dim
-        return out
+        return {(e, i): range(start, start + value.complexes[e].levels[i].dim)
+                for (e, i), start in value.blocks.items()}
 
     rows, cols = offsets(tgt), offsets(src)
     ranks = {b: _rank([[matrix[r][c] for c in cols[b]] for r in rows[b]]) for b in cols if b in rows}
@@ -694,7 +671,7 @@ def _assert_cube_matches_nerve(subsets, cubes, phi, psi):
         assert _block_ranks(limits[k], limits[k + 1], by_cube) == _block_ranks(nerves[k], nerves[k + 1], by_nerve)
     # the cube's induced map is a functor
     sizes = [{u: len(spaces[u]) for u in subsets} for _, spaces in cubes]
-    dims = [len(cube.value_degrees()) for cube in limits]
+    dims = [len(cube.degs) for cube in limits]
     assert limits[0].induced_map(limits[0], {u: _identity(sizes[0][u]) for u in subsets}) == _identity(dims[0])
     composite = {u: _mul_shaped(psi[u], phi[u], sizes[2][u], sizes[1][u], sizes[0][u]) for u in subsets}
     assert limits[0].induced_map(limits[2], composite) == _mul_shaped(
@@ -712,9 +689,9 @@ def test_cube_limit_matches_the_nerve_on_join_cubes():
         letters = 2 if npoints < 4 else 1
         x, y, z = (tuple(rng.randrange(0, 2) for _ in range(rng.randint(1, letters))) for _ in range(3))
         cubes = [_join_cube(functor, subsets, degs) for degs in (x, y, z)]
-        phi = _join_object_maps(functor, _random_graded_map(rng, x, y), cubes[0][0], cubes[1][0])
-        psi = _join_object_maps(functor, _random_graded_map(rng, y, z), cubes[1][0], cubes[2][0])
-        spaces = [{u: val.degs for u, (_, val) in values.items()} for values, _ in cubes]
+        phi = _join_object_maps(functor, _random_graded_map(rng, x, y), subsets, x, y)
+        psi = _join_object_maps(functor, _random_graded_map(rng, y, z), subsets, y, z)
+        spaces = [{u: val.degs for u, val in values.items()} for values, _ in cubes]
         _assert_cube_matches_nerve(subsets, [(maps, sp) for (_, maps), sp in zip(cubes, spaces)], phi, psi)
 
 
@@ -787,9 +764,9 @@ def _random_graded_map(rng, src_degs, tgt_degs):
     ]
 
 
-def _induced(functor, f, src, tgt, src_degs, tgt_degs):
+def _induced(functor, f, src_degs, tgt_degs):
     """functor.induced on dense matrices."""
-    return _dense(functor.induced(_columns(f, len(src_degs)), src, tgt, src_degs, tgt_degs), len(tgt.degs))
+    return _dense(functor.induced(_columns(f, len(src_degs)), src_degs, tgt_degs), len(functor.evaluate(tgt_degs).degs))
 
 
 def _identity(n):
@@ -806,6 +783,16 @@ def _mul_shaped(A, B, rows, inner, cols):
     return out
 
 
+def _assert_functor_laws(functor, u, v, w, f, g) -> bool:
+    """induced(g f) = induced(g) induced(f), and the identity letter map
+    induces the identity; True when the composite's matrix is nonzero."""
+    dims = [len(functor.evaluate(x).degs) for x in (u, v, w)]
+    left = _induced(functor, _mul_shaped(g, f, len(w), len(v), len(u)), u, w)
+    assert left == _mul_shaped(_induced(functor, g, v, w), _induced(functor, f, u, v), dims[2], dims[1], dims[0])
+    assert _induced(functor, _identity(len(u)), u, u) == _identity(dims[0])
+    return any(any(row) for row in left)
+
+
 def test_realization_functoriality():
     rng = random.Random(839)
     for _ in range(8):
@@ -816,18 +803,7 @@ def test_realization_functoriality():
         w = tuple(rng.randrange(0, 2) for _ in range(rng.randrange(1, 3)))
         f = _random_graded_map(rng, u, v)
         g = _random_graded_map(rng, v, w)
-        fu, fv, fw = functor.evaluate(u), functor.evaluate(v), functor.evaluate(w)
-        left = _induced(functor, _mul_shaped(g, f, len(w), len(v), len(u)), fu, fw, u, w)
-        right = _mul_shaped(
-            _induced(functor, g, fv, fw, v, w),
-            _induced(functor, f, fu, fv, u, v),
-            len(fw.degs),
-            len(fv.degs),
-            len(fu.degs),
-        )
-        assert left == right
-        ident = _induced(functor, _identity(len(u)), fu, fu, u, u)
-        assert ident == _identity(len(fu.degs))
+        _assert_functor_laws(functor, u, v, w, f, g)
 
 
 def test_cell_character_of_the_regular_representation():
@@ -973,6 +949,22 @@ def test_window_refusal_spares_every_window_an_iterate_reaches():
         t_n_expected([Cell((2,), sign=True)], 1, (0,), 0)
 
 
+def test_approximation_is_a_functor():
+    """T_n F's induced matrices compose and keep identities, the laws a
+    composite of realized functors will rely on."""
+    rng = random.Random(4253)
+    shapes = [(1,), (2,), (1, 1), (1, 2)]
+    nonvacuous = 0
+    for _ in range(40):
+        cells = [Cell(rng.choice(shapes), sign=rng.random() < 0.5, degree=rng.randrange(0, 2))
+                 for _ in range(rng.randint(1, 2))]
+        functor = TnFunctor(RealFunctor(cells), rng.randint(1, 2))
+        u, v, w = (tuple(rng.randrange(0, 2) for _ in range(rng.randint(1, 3))) for _ in range(3))
+        f, g = _random_graded_map(rng, u, v), _random_graded_map(rng, v, w)
+        nonvacuous += _assert_functor_laws(functor, u, v, w, f, g)
+    assert nonvacuous >= 15
+
+
 def test_budget_refusal():
     with pytest.raises(BudgetError):
         TnFunctor(RealFunctor([Cell((3,), sign=False)]), 2, budget=3).evaluate((0, 0))
@@ -1003,8 +995,8 @@ def test_approximation_maps_one_element_inclusions_within_its_budget():
         assert counting.induced_calls == (n + 1) * 2**n - (n + 1)
         # one summand per vertex: the complexes of all slices together are
         # exactly the vertex basis total that the budget counts
-        total = sum(len(val.degs) for _, val in value.inner_values.values())
-        assert sum(sum(cx.dims) for cx in value.limit.complexes.values()) == total
+        total = sum(len(counting.evaluate(join_space(len(u), degs)).degs) for u in _punctured_cube(n + 1))
+        assert sum(sum(cx.dims) for cx in value.complexes.values()) == total
         TnFunctor(counting, n, budget=total).evaluate(degs)
         with pytest.raises(BudgetError):
             TnFunctor(counting, n, budget=total - 1).evaluate(degs)

@@ -306,12 +306,10 @@ def test_truncate_window_and_errors():
     A = random_complete_seq(random.Random(3), max_entry=3)
     cut = A.truncate(2)
     assert cut.complete and cut.degree() <= 2
-    win = A.window(2)
+    win = SymSeq({m: chi for m, chi in A.entries.items() if m <= 2}, bound=2)
     assert not win.complete
     with pytest.raises(TruncationError):
         win.entry(3)
-    with pytest.raises(TruncationError):
-        win.window(5)
     with pytest.raises(TruncationError):
         evaluate(win, TPoly.one())
     with pytest.raises(ValueError):
@@ -348,4 +346,4 @@ def test_compose_bound_semantics():
     assert full.complete
     assert full.agrees_with(capped, 4)
     with pytest.raises(TruncationError):
-        compose(A.window(2), B, bound=5)
+        compose(SymSeq({m: chi for m, chi in A.entries.items() if m <= 2}, bound=2), B, bound=5)
