@@ -9,9 +9,17 @@ Commands
 * ``tn-oracle``  iterated excisive approximation of a cell functor
 * ``verify``     the full check battery
 
+Each comparison runs through the identity function in ``verify`` that
+the battery calls too.  When the routes disagree, the command names the
+first entry that differs, and its JSON report carries both sides of that
+entry as ``lhs`` and ``rhs`` (per entry for ``chainrule``), as a battery
+failure record does.
+
 Exit codes: 0 success, 1 a check or comparison failed (including a
-non-reduced inner sequence), 2 malformed input or arguments, 3 an
-evaluation exceeded the stated budget.
+non-reduced inner sequence), 2 malformed input or arguments (including a
+``tower`` stage above 3 for an outer functor that is not homogeneous,
+which no second route reaches), 3 an evaluation exceeded the stated
+budget.
 
 Reports are exact: every number printed or serialized is an integer or
 a rational string, and report files are byte-identical for identical
@@ -25,59 +33,45 @@ import json
 import sys
 
 from .exactpoly import TPoly, dims_poly
-from .functor import (
-    dn_product_value,
-    fgl_derivatives,
-    pn_limit_value,
-    tower_stage_square_value,
-)
+from .functor import dn_product_value, pn_limit_value, tower_stage_square_value
 from .holim import BudgetError, cells_from_json, t_n_expected, t_n_oracle
 from .partitions import partition
-from .symseq import (
-    SymSeq,
-    compose,
-    compose_around,
-    compose_plethysm,
-    composition_summand,
-    evaluate,
-    seq_from_json,
-    seq_to_json,
-    space_from_json,
-    space_to_json,
+from .symseq import SymSeq, seq_from_json, seq_to_json, space_from_json, space_to_json
+from .verify import (
+    CHECK_NAMES,
+    RunConfig,
+    chain_rule_routes,
+    entry_json,
+    first_difference,
+    product_routes,
+    run_battery,
+    summand_routes,
+    tower_values,
 )
-from .trace import composite_derivatives
-from .verify import CHECK_NAMES, RunConfig, run_battery
 
 
 class InputError(Exception):
     """User-supplied file or argument that cannot be used (exit code 2)."""
 
 
-def _load_json(path: str):
+def _load(path: str, loader):
+    """Decode a JSON file with loader; every way it can fail is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return loader(json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_seq(path: str) -> SymSeq:
-    try:
-        return seq_from_json(_load_json(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_cells(path: str):
-    data = _load_json(path)
+def _cells_from_file(data):
+    """A cell list, bare or under a "cells" key."""
     if isinstance(data, dict) and "cells" in data:
         data = data["cells"]
-    try:
-        return cells_from_json(data)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return cells_from_json(data)
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
@@ -90,10 +84,7 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
 def _load_space(path: str | None, degrees: str) -> TPoly:
     """A graded space from a JSON file when one is named, else from inline degrees."""
     if path:
-        try:
-            return space_from_json(_load_json(path))
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        return _load(path, space_from_json)
     degs = _parse_degrees(degrees)
     return dims_poly({d: degs.count(d) for d in set(degs)})
 
@@ -120,11 +111,21 @@ def _dims_lines(X: TPoly) -> str:
     )
 
 
-def _require_reduced(B: SymSeq, label: str):
-    if not B.is_reduced():
-        print(f"{label} has a constant term; the inner sequence of a composite "
+def _load_pair(args) -> tuple[SymSeq, SymSeq]:
+    """The outer and the inner sequence file; the inner one must be reduced."""
+    F = _load(args.outer, seq_from_json)
+    G = _load(args.inner, seq_from_json)
+    if not G.is_reduced():
+        print(f"{args.inner} has a constant term; the inner sequence of a composite "
               f"must be reduced", file=sys.stderr)
         raise SystemExit(1)
+    return F, G
+
+
+def _disagreement(lhs: SymSeq, rhs: SymSeq, n: int | None) -> dict:
+    """Both sides of a disagreeing entry n as one-entry sequence documents;
+    nothing when n is None."""
+    return {} if n is None else {"lhs": entry_json(lhs.entry(n)), "rhs": entry_json(rhs.entry(n))}
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +133,21 @@ def _require_reduced(B: SymSeq, label: str):
 
 
 def cmd_compose(args) -> int:
-    A = _load_seq(args.outer)
-    B = _load_seq(args.inner)
-    _require_reduced(B, args.inner)
-    lhs = compose(A, B, signed=args.signed, bound=args.bound)
-    rhs = compose_plethysm(A, B, signed=args.signed, bound=args.bound)
+    A, B = _load_pair(args)
+    lhs, rhs = product_routes(A, B, args.signed, args.bound)
     window = lhs.bound if lhs.bound is not None else lhs.degree()
-    agree = lhs.agrees_with(rhs, window)
+    diff = first_difference(lhs, rhs, window)
     for n in sorted(lhs.entries):
         print(f"entry {n}: dim {_dims_lines(lhs.entry(n).dim_poly())}")
     print(f"window 0..{window}; per-partition and plethysm routes "
-          f"{'agree' if agree else 'DISAGREE'}")
-    _emit({"result": seq_to_json(lhs), "paths_agree": agree}, args.json_out)
-    return 0 if agree else 1
+          f"{'agree' if diff is None else f'DISAGREE first at entry {diff}'}")
+    _emit({"result": seq_to_json(lhs), "paths_agree": diff is None,
+           **_disagreement(lhs, rhs, diff)}, args.json_out)
+    return 0 if diff is None else 1
 
 
 def cmd_chainrule(args) -> int:
-    F = _load_seq(args.outer)
-    G = _load_seq(args.inner)
-    _require_reduced(G, args.inner)
+    F, G = _load_pair(args)
     base = None
     if args.base is not None or args.base_file:
         # the zero space is base 0: the same as giving no base at all
@@ -174,19 +171,14 @@ def cmd_chainrule(args) -> int:
         F = F.truncate(args.bound)
     if not G.complete:
         G = G.truncate(args.bound)
-    lhs = composite_derivatives(F, G, args.bound, args.signed, base=base)
-    if base is None:
-        rhs = compose(F, G, signed=args.signed, bound=args.bound)
-    else:
-        rhs = compose_around(F, G, base, args.signed, args.bound)
+    lhs, rhs = chain_rule_routes(F, G, args.bound, args.signed, base=base)
     entries = []
-    agree = True
     for n in range(args.bound + 1):
         ok = lhs.entry(n) == rhs.entry(n)
-        agree = agree and ok
         print(f"entry {n}: derivative and product characters "
               f"{'agree' if ok else 'DISAGREE'}")
-        entries.append({"n": n, "agree": ok})
+        entries.append({"n": n, "agree": ok, **_disagreement(lhs, rhs, None if ok else n)})
+    agree = all(e["agree"] for e in entries)
     _emit({
         "bound": args.bound,
         "base": space_to_json(base) if base is not None else None,
@@ -197,43 +189,38 @@ def cmd_chainrule(args) -> int:
 
 
 def cmd_derivative(args) -> int:
-    F = _load_seq(args.outer)
-    G = _load_seq(args.inner)
-    _require_reduced(G, args.inner)
+    F, G = _load_pair(args)
     parts = _parse_degrees(args.partition)
     if not parts or any(p < 1 for p in parts):
         raise InputError(f"{args.partition!r} is not a partition (positive parts)")
     lam = partition(parts)
     n = sum(lam)
-    summand = composition_summand(F, G, lam, args.signed)
-    routed = fgl_derivatives(F, G, lam, n, args.signed).entry(n)
-    agree = summand == routed
+    lhs, rhs = summand_routes(F, G, lam, n, args.signed)
+    diff = first_difference(lhs, rhs, n)
     print(f"summand of the partition {list(lam)} at arity {n}: "
-          f"dim {_dims_lines(summand.dim_poly())}")
-    print(f"induction and trace routes {'agree' if agree else 'DISAGREE'}")
-    _emit({
-        "partition": list(lam),
-        "character": seq_to_json(SymSeq({n: summand}, bound=n)),
-        "routes_agree": agree,
-    }, args.json_out)
-    return 0 if agree else 1
+          f"dim {_dims_lines(rhs.entry(n).dim_poly())}")
+    print(f"induction and trace routes "
+          f"{'agree' if diff is None else f'DISAGREE first at entry {diff}'}")
+    _emit({"partition": list(lam), "character": seq_to_json(rhs), "routes_agree": diff is None,
+           **_disagreement(lhs, rhs, diff)}, args.json_out)
+    return 0 if diff is None else 1
 
 
 def cmd_tower(args) -> int:
-    F = _load_seq(args.outer)
-    G = _load_seq(args.inner)
-    _require_reduced(G, args.inner)
+    F, G = _load_pair(args)
     X = _load_space(args.space_file, args.space)
     n = args.stage
     if n < 1:
         raise InputError("stage must be at least 1")
-    composite = compose(F, G, signed=args.signed, bound=n)
-    stage_value = evaluate(composite.truncate(n), X, args.signed)
-    layer_value = evaluate(composite.layer_part(n), X, args.signed)
+    homogeneous = len(F.entries) == 1
+    if not homogeneous and n > 3:
+        raise InputError(f"stage {n} has no second route: the split limit needs a "
+                         f"homogeneous outer functor and the stage diagram stops at stage 3")
+    stage_value, layer_value = tower_values(F, G, n, X, args.signed)
     print(f"stage {n} value: {_dims_lines(stage_value)}")
     print(f"layer {n} value: {_dims_lines(layer_value)}")
     routes: dict[str, bool] = {}
-    if len(F.entries) == 1:
+    if homogeneous:
         routes["split-limit"] = pn_limit_value(F, G, n, X, args.signed) == stage_value
         routes["layer-product"] = dn_product_value(F, G, n, X, args.signed) == layer_value
     if n <= 3:
@@ -252,7 +239,7 @@ def cmd_tower(args) -> int:
 
 
 def cmd_tn_oracle(args) -> int:
-    cells = _load_cells(args.cells)
+    cells = _load(args.cells, _cells_from_file)
     degs = _parse_degrees(args.space)
     n = args.excision_degree
     for name, value in [("excision degree", n), ("--max-iter", args.max_iter), ("--budget", args.budget)]:
@@ -282,11 +269,8 @@ def cmd_tn_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = RunConfig(seed=args.seed, bound=args.bound, sign_mode=args.sign_mode,
-                           pairs=args.pairs, budget=args.budget, mutate=args.mutate)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    config = RunConfig(seed=args.seed, bound=args.bound, sign_mode=args.sign_mode,
+                       pairs=args.pairs, budget=args.budget, mutate=args.mutate)
     report, _times = run_battery(
         config,
         check_names=args.check or None,
@@ -320,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bound_default=None, bound_help="comparison window"):
+    def add_common(p):
         p.add_argument("--signed", action="store_true",
                        help="let permutations act with Koszul signs")
         p.add_argument("--json-out", metavar="PATH", default=None,
                        help="write the JSON report to PATH ('-' for stdout)")
-        if bound_default is not None:
-            p.add_argument("--bound", type=_window, default=bound_default, help=bound_help)
 
     p = sub.add_parser("compose", help="composition product of two sequence files")
     p.add_argument("outer")
@@ -343,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base point as comma-separated degrees, e.g. 0,0,1")
     p.add_argument("--base-file", default=None, metavar="PATH",
                    help="base point as a graded-space JSON file")
-    add_common(p, bound_default=4)
+    add_common(p)
+    p.add_argument("--bound", type=_window, default=4, help="comparison window")
     p.set_defaults(fn=cmd_chainrule)
 
     p = sub.add_parser("derivative", help="one partition summand of a composite")
@@ -401,12 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -92,9 +92,6 @@ class SymSeq:
             bound,
         )
 
-    def agrees_with(self, other: "SymSeq", upto: int) -> bool:
-        return all(self.entry(n) == other.entry(n) for n in range(upto + 1))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymSeq):
             return NotImplemented

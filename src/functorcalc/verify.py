@@ -9,6 +9,12 @@ and no timestamps, so a fixed ``RunConfig`` produces a byte-identical
 report; wall-clock times are returned separately for console display
 only.
 
+Each identity the command line also checks has one function that returns
+its routes: ``chain_rule_routes``, ``product_routes``, ``summand_routes``
+and ``tower_values``.  The checks and the ``cli`` commands both call them,
+find the first disagreeing entry with ``first_difference`` and show its
+two sides with ``entry_json``, so the two callers cannot drift apart.
+
 Every check runs on one ``_Check``: it holds the check's name, its
 generator (seeded by the run seed and that name), the instance count
 and the failures, and it draws the random pairs, records a failure, and
@@ -26,7 +32,7 @@ and keep passing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 from .characters import GradedCharacter, induce_young
@@ -113,13 +119,52 @@ class RunConfig:
         return i % 2 == 1
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "bound": self.bound,
-            "sign_mode": self.sign_mode,
-            "pairs": self.pairs,
-            "budget": self.budget,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "mutate"}
+
+
+# ---------------------------------------------------------------------------
+# the identities: each returns its two routes, for the checks and the CLI
+
+
+def chain_rule_routes(F: SymSeq, G: SymSeq, bound: int, signed: bool, base: TPoly | None = None,
+                      compose_fn=compose) -> tuple[SymSeq, SymSeq]:
+    """Derivatives of the composite read off traces, and the composition
+    product of the derivative sequences (around base, when one is given)."""
+    lhs = composite_derivatives(F, G, bound, signed, base=base)
+    if base is None:
+        return lhs, compose_fn(F, G, signed=signed, bound=bound)
+    return lhs, compose_around(F, G, base, signed, bound, compose_fn)
+
+
+def product_routes(A: SymSeq, B: SymSeq, signed: bool, bound: int | None,
+                   compose_fn=compose) -> tuple[SymSeq, SymSeq]:
+    """The composition product by per-partition induction and by plethysm."""
+    return (compose_fn(A, B, signed=signed, bound=bound),
+            compose_plethysm(A, B, signed=signed, bound=bound))
+
+
+def summand_routes(F: SymSeq, G: SymSeq, lam, upto: int, signed: bool) -> tuple[SymSeq, SymSeq]:
+    """Traced derivatives 0..upto of the lam-summand functor, and its induced character."""
+    return (fgl_derivatives(F, G, lam, upto, signed),
+            SymSeq({sum(lam): composition_summand(F, G, lam, signed)}, bound=upto))
+
+
+def tower_values(F: SymSeq, G: SymSeq, n: int, X: TPoly, signed: bool,
+                 compose_fn=compose) -> tuple[TPoly, TPoly]:
+    """Stage n and layer n of the composite at X, from the truncated product."""
+    composite = compose_fn(F, G, signed=signed, bound=n)
+    return (evaluate(composite.truncate(n), X, signed),
+            evaluate(composite.layer_part(n), X, signed))
+
+
+def first_difference(lhs: SymSeq, rhs: SymSeq, upto: int) -> int | None:
+    """The first entry n <= upto where the two sequences differ, or None."""
+    return next((n for n in range(upto + 1) if lhs.entry(n) != rhs.entry(n)), None)
+
+
+def entry_json(chi: GradedCharacter) -> dict:
+    """One entry character as a one-entry sequence document."""
+    return seq_to_json(SymSeq({chi.n: chi}))
 
 
 class Tally:
@@ -137,13 +182,8 @@ class Tally:
                 break
             self.count += 1
             if not chi.is_genuine():
-                item = {
-                    "check": chk.name,
-                    "detail": f"entry {n} has a negative or fractional Schur multiplicity",
-                    "repro": chk.repro,
-                }
-                self.violations.append(item)
-                chk.failures.append(item)
+                self.violations.append(chk.note(
+                    check=chk.name, detail=f"entry {n} has a negative or fractional Schur multiplicity"))
 
 
 class _Check:
@@ -171,21 +211,19 @@ class _Check:
         cells = [random_cells(self.rng, d) for d in degrees]
         return cells + [cells_sequence(cs) for cs in cells]
 
+    def note(self, **record) -> dict:
+        """Record a failure with the given fields and the repro line; returns it."""
+        record["repro"] = self.repro
+        self.failures.append(record)
+        return record
+
     def fail(self, idx, signed: bool, f_cells, g_cells, detail: str, lhs=None, rhs=None):
         """Record a failure on a pair of cell lists; lhs and rhs are the two
         disagreeing entry characters, when there are any."""
-        record = {
-            "instance": idx,
-            "signed": signed,
-            "outer_cells": cells_to_json(f_cells),
-            "inner_cells": cells_to_json(g_cells),
-            "detail": detail,
-            "repro": self.repro,
-        }
+        record = self.note(instance=idx, signed=signed, outer_cells=cells_to_json(f_cells),
+                           inner_cells=cells_to_json(g_cells), detail=detail)
         if lhs is not None:
-            record["lhs"] = seq_to_json(SymSeq({lhs.n: lhs}))
-            record["rhs"] = seq_to_json(SymSeq({rhs.n: rhs}))
-        self.failures.append(record)
+            record.update(lhs=entry_json(lhs), rhs=entry_json(rhs))
 
     def compare(self, idx, signed: bool, f_cells, g_cells, lhs: SymSeq, rhs: SymSeq, upto: int,
                 what: str, where: str = "", certify: bool = True) -> bool:
@@ -195,11 +233,11 @@ class _Check:
         n<where>", with both sides' entry n as one-entry sequence documents.
         When they agree and certify is set, rhs goes to the genuineness tally.
         """
-        for n in range(upto + 1):
-            if lhs.entry(n) != rhs.entry(n):
-                self.fail(idx, signed, f_cells, g_cells, f"{what} first at entry {n}{where}",
-                          lhs.entry(n), rhs.entry(n))
-                return False
+        n = first_difference(lhs, rhs, upto)
+        if n is not None:
+            self.fail(idx, signed, f_cells, g_cells, f"{what} first at entry {n}{where}",
+                      lhs.entry(n), rhs.entry(n))
+            return False
         if certify:
             self.tally.add_seq(rhs, upto, self)
         return True
@@ -223,8 +261,7 @@ def _check_chain_rule_zero_base(chk: _Check, compose_fn) -> dict:
     for signed, count in cfg.mode_counts(cfg.pairs):
         for i in range(count):
             f_cells, g_cells, F, G = chk.draw(cfg.bound, cfg.bound)
-            lhs = composite_derivatives(F, G, cfg.bound, signed)
-            rhs = compose_fn(F, G, signed=signed, bound=cfg.bound)
+            lhs, rhs = chain_rule_routes(F, G, cfg.bound, signed, compose_fn=compose_fn)
             chk.instances += 1
             chk.compare(i, signed, f_cells, g_cells, lhs, rhs, cfg.bound,
                         "derivative route and product route differ")
@@ -240,8 +277,7 @@ def _check_chain_rule_general_base(chk: _Check, compose_fn) -> dict:
         signed = chk.cfg.alternate(i)
         f_cells, g_cells, F, G = chk.draw(5, 5)
         X = random_space(chk.rng)
-        lhs = composite_derivatives(F, G, window, signed, base=X)
-        rhs = compose_around(F, G, X, signed, window, compose_fn)
+        lhs, rhs = chain_rule_routes(F, G, window, signed, base=X, compose_fn=compose_fn)
         chk.instances += 1
         chk.compare(i, signed, f_cells, g_cells, lhs, rhs, window,
                     "trace route and shifted product route differ", f" (base dims {X!r})")
@@ -267,8 +303,7 @@ def _check_path_agreement(chk: _Check, compose_fn) -> dict:
     for i in range(max(chk.cfg.pairs // 2, 50)):
         signed = chk.cfg.alternate(i)
         f_cells, g_cells, A, B = chk.draw(4, 4)
-        lhs = compose_fn(A, B, signed=signed, bound=window)
-        rhs = compose_plethysm(A, B, signed=signed, bound=window)
+        lhs, rhs = product_routes(A, B, signed, window, compose_fn)
         chk.instances += 1
         chk.compare(i, signed, f_cells, g_cells, lhs, rhs, window,
                     "per-partition route and plethysm route differ")
@@ -338,19 +373,11 @@ def _check_set_partition_counts(chk: _Check, compose_fn) -> dict:
     for n in range(13):
         chk.instances += 1
         if bell_number(n) != BELL_FROZEN[n]:
-            chk.failures.append({
-                "instance": n,
-                "detail": f"recurrence value {bell_number(n)} differs from the "
-                          f"frozen count {BELL_FROZEN[n]}",
-                "repro": chk.repro,
-            })
+            chk.note(instance=n, detail=f"recurrence value {bell_number(n)} differs from the "
+                                        f"frozen count {BELL_FROZEN[n]}")
         if not set_partition_count_check(n):
-            chk.failures.append({
-                "instance": n,
-                "detail": "sum over partitions of n!/(automorphisms of the block "
-                          "structure) missed the set-partition count",
-                "repro": chk.repro,
-            })
+            chk.note(instance=n, detail="sum over partitions of n!/(automorphisms of the block "
+                                        "structure) missed the set-partition count")
     return chk.record(
         "summand index sets of the composition product are counted by the "
         "Bell numbers")
@@ -364,8 +391,7 @@ def _check_partition_summands(chk: _Check, compose_fn) -> dict:
         lam = classes[chk.rng.randrange(len(classes))]
         f_cells, g_cells, F, G = chk.draw(5, 5)
         nmax = min(n + 1, 5)
-        derivs = fgl_derivatives(F, G, lam, nmax, signed)
-        expected = SymSeq({n: composition_summand(F, G, lam, signed)}, bound=nmax)
+        derivs, expected = summand_routes(F, G, lam, nmax, signed)
         chk.instances += 1
         chk.compare(i, signed, f_cells, g_cells, derivs, expected, nmax,
                     f"derivatives of the {list(lam)!r}-summand functor differ from "
@@ -409,19 +435,14 @@ def _check_homogeneous_tower(chk: _Check, compose_fn) -> dict:
         chk.instances += 1
         bad_detail = None
         for n in range(k, 7):
-            composite = compose_fn(F, G, signed=signed, bound=n)
-            stage = pn_limit_value(F, G, n, X, signed)
-            stage_expected = evaluate(composite.truncate(n), X, signed)
-            if stage != stage_expected:
+            stage_expected, layer_expected = tower_values(F, G, n, X, signed, compose_fn)
+            if pn_limit_value(F, G, n, X, signed) != stage_expected:
                 bad_detail = f"stage {n} value differs from the truncated product value"
                 break
-            layer = dn_product_value(F, G, n, X, signed)
-            layer_expected = evaluate(composite.layer_part(n), X, signed)
-            if layer != layer_expected:
+            if dn_product_value(F, G, n, X, signed) != layer_expected:
                 bad_detail = f"layer {n} value differs from the product layer value"
                 break
-            summed = layer_value_via_summands(F, G, n, X, signed)
-            if summed != layer_expected:
+            if layer_value_via_summands(F, G, n, X, signed) != layer_expected:
                 bad_detail = f"layer {n} summand-sum value differs from the product layer value"
                 break
         if bad_detail is not None:
@@ -439,9 +460,8 @@ def _check_tower_stage_squares(chk: _Check, compose_fn) -> dict:
             f_cells, g_cells, F, G = chk.draw(3, 3)
             X = random_space(chk.rng)
             chk.instances += 1
-            value = tower_stage_square_value(F, G, stage, X, signed)
-            expected = evaluate(compose_fn(F, G, signed=signed, bound=stage).truncate(stage), X, signed)
-            if value != expected:
+            expected, _ = tower_values(F, G, stage, X, signed, compose_fn)
+            if tower_stage_square_value(F, G, stage, X, signed) != expected:
                 chk.fail(idx, signed, f_cells, g_cells,
                          f"stage-{stage} limit over the arrow diagram differs from "
                          f"the truncated product value (base dims {X!r})")
@@ -452,8 +472,8 @@ def _check_tower_stage_squares(chk: _Check, compose_fn) -> dict:
     g_cells, G = chk.draw(3)
     X = random_space(chk.rng)
     chk.instances += 1
-    if tower_stage_square_value(linear, G, 3, X, False) != evaluate(
-            compose_fn(linear, G, signed=False, bound=3).truncate(3), X, False):
+    if tower_stage_square_value(linear, G, 3, X, False) != tower_values(
+            linear, G, 3, X, False, compose_fn)[0]:
         chk.fail(idx, False, [Cell((1,))], g_cells,
                  "linear outer functor: diagram value differs from the truncated product")
     idx += 1
@@ -491,7 +511,7 @@ def _check_truncation_identities(chk: _Check, compose_fn) -> dict:
         chk.instances += 1
         whole = compose(L, G.truncate(n), signed=signed)
         windowed = compose(L, G, signed=signed, bound=n)
-        if whole.degree() > n or any(whole.entry(k) != windowed.entry(k) for k in range(n + 1)):
+        if whole.degree() > n or first_difference(whole, windowed, n) is not None:
             chk.fail(i, signed, lin_cells, g_cells,
                      f"linear outer functor does not commute with truncation at {n}")
     return chk.record(
@@ -578,16 +598,10 @@ def _check_excisive_oracle(chk: _Check, compose_fn) -> dict:
         window, expected = t_n_expected(list(cells), n, degs)
         out = t_n_oracle(list(cells), n, degs, window=window, max_iter=12, budget=chk.cfg.budget)
         if out["stable"] != expected:
-            chk.failures.append({
-                "instance": label,
-                "cells": cells_to_json(list(cells)),
-                "excision_degree": n,
-                "point_degrees": list(degs),
-                "detail": f"stable window dims {out['stable']!r} differ from the "
-                          f"truncated evaluation {expected!r} "
-                          f"(history {out['history']!r})",
-                "repro": chk.repro,
-            })
+            chk.note(instance=label, cells=cells_to_json(list(cells)), excision_degree=n,
+                     point_degrees=list(degs),
+                     detail=f"stable window dims {out['stable']!r} differ from the "
+                            f"truncated evaluation {expected!r} (history {out['history']!r})")
     return chk.record(
         "iterating the join-based approximation stabilizes on every window "
         "of degrees to the value of the truncated functor")

@@ -6,8 +6,10 @@ exceeded.  Report files must be byte-identical across runs with the
 same configuration.
 """
 
+import ast
 import hashlib
 import json
+import pathlib
 import random
 import shlex
 import subprocess
@@ -19,6 +21,7 @@ from functorcalc import cli
 from functorcalc.cli import main
 from functorcalc.generate import random_cells, random_space
 from functorcalc.holim import Cell, cells_from_json, cells_sequence, cells_to_json
+from functorcalc.partitions import partition
 from functorcalc.symseq import (
     SymSeq,
     compose,
@@ -281,6 +284,115 @@ def test_tower_command(pair, tmp_path, capsys):
     assert "split-limit: agrees" in out and "stage-diagram: agrees" in out
     assert main(["tower", str(fp), str(gp), "--stage", "2", "--signed"]) == 0
     capsys.readouterr()
+
+
+def test_tower_refuses_a_stage_without_a_second_route(tmp_path, capsys, monkeypatch):
+    # an outer functor of two entries at stage 4 ran no route and still
+    # reported agreement (exit 0, "routes": {})
+    outer, inner = tmp_path / "F.json", tmp_path / "G.json"
+    write_seq(outer, [Cell((1,)), Cell((2,))])
+    write_seq(inner, [Cell((1,)), Cell((1, 1), degree=1)])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("tower values computed before the stage was checked")
+
+    monkeypatch.setattr(cli, "tower_values", no_work)
+    out = tmp_path / "t.json"
+    assert main(["tower", str(outer), str(inner), "--stage", "4", "--json-out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stage 4 has no second route")
+    assert not out.exists()
+
+
+def _junk_summand():
+    from functorcalc.characters import GradedCharacter, induce_young
+
+    return induce_young(GradedCharacter.trivial(1), GradedCharacter.trivial(1))
+
+
+def test_compose_disagreement_shows_both_entries(pair, tmp_path, capsys, monkeypatch):
+    from functorcalc import verify
+
+    fp, gp, F, G = pair
+    monkeypatch.setattr(verify, "compose_plethysm",
+                        lambda A, B, signed=False, bound=None: verify.corrupted_compose(A, B, signed, bound))
+    out = tmp_path / "c.json"
+    assert main(["compose", str(fp), str(gp), "--json-out", str(out)]) == 1
+    assert "routes DISAGREE first at entry 2\n" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["paths_agree"] is False
+    honest = compose(F, G).entry(2)
+    assert doc["lhs"] == seq_to_json(SymSeq({2: honest}))
+    assert doc["rhs"] == seq_to_json(SymSeq({2: honest + _junk_summand()}))
+
+
+def test_chainrule_disagreement_shows_both_entries(pair, tmp_path, capsys, monkeypatch):
+    from functorcalc import verify
+
+    fp, gp, F, G = pair
+    monkeypatch.setattr(verify, "composite_derivatives",
+                        lambda F, G, bound, signed, base=None: verify.corrupted_compose(F, G, signed, bound))
+    out = tmp_path / "c.json"
+    assert main(["chainrule", str(fp), str(gp), "--bound", "3", "--json-out", str(out)]) == 1
+    assert "entry 2: derivative and product characters DISAGREE\n" in capsys.readouterr().out
+    entries = json.loads(out.read_text())["entries"]
+    assert [e["agree"] for e in entries] == [True, True, False, True]
+    assert all("lhs" not in e for e in entries if e["agree"])
+    honest = compose(F, G).entry(2)
+    assert entries[2]["lhs"] == seq_to_json(SymSeq({2: honest + _junk_summand()}))
+    assert entries[2]["rhs"] == seq_to_json(SymSeq({2: honest}))
+
+
+def test_derivative_disagreement_shows_both_entries(pair, tmp_path, capsys, monkeypatch):
+    from functorcalc import verify
+
+    fp, gp, F, G = pair
+    honest_routes = verify.fgl_derivatives
+    monkeypatch.setattr(verify, "fgl_derivatives", lambda F, G, lam, upto, signed: honest_routes(
+        F, G, lam, upto, signed) + SymSeq({2: _junk_summand()}, bound=upto))
+    out = tmp_path / "d.json"
+    assert main(["derivative", str(fp), str(gp), "--partition", "1,1", "--json-out", str(out)]) == 1
+    assert "routes DISAGREE first at entry 2\n" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["routes_agree"] is False
+    summand = verify.composition_summand(F, G, partition((1, 1)))
+    assert doc["rhs"] == seq_to_json(SymSeq({2: summand}))
+    assert doc["lhs"] == seq_to_json(SymSeq({2: summand + _junk_summand()}))
+
+
+@pytest.mark.parametrize("kind", ["outer", "base-file", "space-file", "cells"])
+@pytest.mark.parametrize("content, message", [
+    (None, "error: cannot read {path}"),
+    ("{nope", "error: {path} is not valid JSON"),
+    ("[1, 2, 3]", "error: {path}: "),  # valid JSON that no loader accepts
+])
+def test_every_file_kind_reports_its_load_errors(pair, tmp_path, capsys, kind, content, message):
+    fp, gp, _, _ = pair
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    argv = {
+        "outer": ["compose", str(path), str(gp)],
+        "base-file": ["chainrule", str(fp), str(gp), "--base-file", str(path)],
+        "space-file": ["tower", str(fp), str(gp), "--stage", "2", "--space-file", str(path)],
+        "cells": ["tn-oracle", str(path), "--excision-degree", "1"],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(path=path))
+
+
+def test_cli_calls_no_sequence_level_route():
+    # each identity is compared through its function in verify, which the
+    # battery calls too; the CLI reaching a route directly would restate it
+    routes = {"compose", "compose_plethysm", "compose_around", "composite_derivatives",
+              "composition_summand", "fgl_derivatives", "evaluate"}
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not routes & imported
 
 
 # ---------------------------------------------------------------------------
