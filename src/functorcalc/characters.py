@@ -6,14 +6,21 @@ A ``GradedCharacter`` records, for one symmetric group, the graded trace
 of each conjugacy class as a Laurent polynomial in t, and supports the
 inner products, inductions and restrictions the composition product and
 the derivative extraction are built from.
+
+The Schur certificate (``schur_decomposition``, ``is_genuine``) reads the
+cached ``character_table`` and the class sizes n!/z_mu, so a multiplicity
+is one integer sum n! <chi, chi_lam> = sum_mu |C_mu| chi_lam(mu) chi(mu)
+and one exact division by n!; ``GradedCharacter.inner`` is its
+brute-force oracle in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import TPoly
+from .exactpoly import TPoly, exact_div
 from .partitions import (
     Partition,
     centralizer_order,
@@ -141,16 +148,50 @@ class GradedCharacter:
             out = out + prod.scale(Fraction(1, centralizer_order(mu)))
         return out
 
+    def _scaled_multiplicities(self):
+        """(lam, {degree: n! * <self, chi_lam> coefficient}) for every irreducible lam.
+
+        Each coefficient is sum_mu |C_mu| * chi_lam(mu) * self(mu), an int
+        for an integral character; zero coefficients are left out.
+        """
+        table = character_table(self.n)
+        weighted = []  # (mu, {degree: |C_mu| * self(mu) coefficient}) on the support
+        for mu, size in _class_sizes(self.n):
+            val = self.values[mu]
+            if val:
+                # integral Fraction coefficients become ints here, once per class
+                weighted.append((mu, {d: v.numerator * size if v.denominator == 1 else v * size
+                                      for d, v in val.c.items()}))
+        for lam in partitions_of(self.n):
+            acc: dict[int, int | Fraction] = {}
+            for mu, vals in weighted:
+                c = table[lam, mu]
+                if c:
+                    for d, v in vals.items():
+                        acc[d] = acc.get(d, 0) + c * v
+            yield lam, {d: v for d, v in acc.items() if v}
+
     def schur_decomposition(self) -> dict[Partition, TPoly]:
         """Multiplicity polynomial of every irreducible; complete for class functions."""
-        return {lam: self.inner(GradedCharacter.irreducible(lam)) for lam in partitions_of(self.n)}
+        order = math.factorial(self.n)
+        return {lam: TPoly._wrap({d: exact_div(v, order) for d, v in m.items()})
+                for lam, m in self._scaled_multiplicities()}
 
     def is_genuine(self) -> bool:
         """True when every irreducible occurs with nonnegative integer graded multiplicity."""
-        return all(m.is_nonneg_integral() or not m for m in self.schur_decomposition().values())
+        order = math.factorial(self.n)
+        return all(v > 0 and not v % order
+                   for _, m in self._scaled_multiplicities() for v in m.values())
 
     def __repr__(self) -> str:
         return f"GradedCharacter(n={self.n}, values={self.values!r})"
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(mu, n!/z_mu) for every partition mu of n: the class sizes of S_n."""
+    order = math.factorial(n)
+    return tuple((mu, order // centralizer_order(mu)) for mu in partitions_of(n))
 
 
 def induce_young(chi1: GradedCharacter, chi2: GradedCharacter) -> GradedCharacter:
@@ -184,6 +225,11 @@ def induce_young_many(chis: list[GradedCharacter]) -> GradedCharacter:
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
+    """{(lam, mu): chi_lam(mu)} for every pair of partitions of n.
+
+    The Schur certificate (``GradedCharacter.schur_decomposition`` and
+    ``is_genuine``) reads its values from here.
+    """
     return {
         (lam, mu): irreducible_character_value(lam, mu)
         for lam in partitions_of(n)

@@ -122,6 +122,15 @@ def _load_pair(args) -> tuple[SymSeq, SymSeq]:
     return F, G
 
 
+def _refuse_truncated(args, F: SymSeq, G: SymSeq) -> None:
+    """Refuse a truncated outer or inner file before any work: the routes
+    of ``derivative`` and ``tower`` need complete sequences."""
+    for path, seq in ((args.outer, F), (args.inner, G)):
+        if not seq.complete:
+            raise InputError(f"{path} is truncated at {seq.bound}; "
+                             f"{args.command} needs a complete sequence")
+
+
 def _disagreement(lhs: SymSeq, rhs: SymSeq, n: int | None) -> dict:
     """Both sides of a disagreeing entry n as one-entry sequence documents;
     nothing when n is None."""
@@ -190,6 +199,7 @@ def cmd_chainrule(args) -> int:
 
 def cmd_derivative(args) -> int:
     F, G = _load_pair(args)
+    _refuse_truncated(args, F, G)
     parts = _parse_degrees(args.partition)
     if not parts or any(p < 1 for p in parts):
         raise InputError(f"{args.partition!r} is not a partition (positive parts)")
@@ -208,6 +218,7 @@ def cmd_derivative(args) -> int:
 
 def cmd_tower(args) -> int:
     F, G = _load_pair(args)
+    _refuse_truncated(args, F, G)
     X = _load_space(args.space_file, args.space)
     n = args.stage
     if n < 1:

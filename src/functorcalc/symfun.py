@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .characters import GradedCharacter
-from .exactpoly import Sparse, TPoly
+from .exactpoly import Sparse, TPoly, exact_div
 from .partitions import Partition, centralizer_order, partitions_of
 
 Monomial = Partition  # p_mu, the product of p_m over the parts m of mu
@@ -85,12 +85,18 @@ class PSPoly(Sparse):
         return PSPoly({k: v for k, v in self.c.items() if sum(k) <= max_weight})
 
     def to_character(self, n: int) -> GradedCharacter:
-        """Inverse characteristic transform on the weight-n part."""
+        """Inverse characteristic transform on the weight-n part.
+
+        Each value z_mu * (p_mu coefficient) is an ``int`` wherever it is
+        integral and an exact ``Fraction`` otherwise (see ``exact_div``).
+        """
         vals: dict[Partition, TPoly] = {}
         for mu in partitions_of(n):
             coeff = self.c.get(mu)
             if coeff:
-                vals[mu] = coeff.scale(centralizer_order(mu))
+                z = centralizer_order(mu)
+                vals[mu] = TPoly._wrap({d: exact_div(v.numerator * z, v.denominator)
+                                        for d, v in coeff.c.items()})
         return GradedCharacter(n, vals)
 
     def __repr__(self) -> str:

@@ -1,6 +1,7 @@
 """Character computations against element-level brute force and classical identities."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -214,3 +215,50 @@ def test_character_table_cache():
     assert tab[((5,), (1, 4))] == 1
     assert tab[((1, 1, 1, 1, 1), (1, 4))] == -1
     assert len(tab) == len(partitions_of(5)) ** 2
+
+
+def _random_class_function(rng, n, kind):
+    """A seeded graded class function of S_n of one of four kinds."""
+    chi = GradedCharacter.zero(n)
+    if kind in ("genuine", "virtual"):
+        for lam in partitions_of(n):
+            for _ in range(rng.randrange(0, 3)):
+                term = GradedCharacter.irreducible(lam, degree=rng.randrange(-1, 3))
+                chi = chi - term if kind == "virtual" and rng.random() < 0.3 else chi + term
+        return chi
+    values = {}
+    for mu in partitions_of(n):
+        if rng.random() < 0.7:
+            d = rng.randrange(0, 2)
+            if kind == "rational":
+                values[mu] = TPoly.term(d, Fraction(rng.randrange(-7, 8), rng.randrange(1, 5)))
+            else:  # an integer class function, stored as integral Fractions
+                values[mu] = TPoly.term(d, Fraction(rng.randrange(-3, 6 * n)))
+    return GradedCharacter(n, values)
+
+
+def test_schur_certificate_matches_inner_products():
+    """Brute force of the table-based certificate: every multiplicity is
+    rebuilt as <chi, chi_lam> by ``GradedCharacter.inner``."""
+    rng = random.Random(1207)
+    irreducibles = {n: {lam: GradedCharacter.irreducible(lam) for lam in partitions_of(n)}
+                    for n in range(8)}
+    seen = {True: 0, False: 0}
+    for n in range(8):
+        for kind in ("genuine", "virtual", "rational", "integer"):
+            for _ in range(3 if n > 5 else 5):
+                chi = _random_class_function(rng, n, kind)
+                expected = {lam: chi.inner(irr) for lam, irr in irreducibles[n].items()}
+                got = chi.schur_decomposition()
+                assert got == expected, (n, kind)
+                # exact division: an int exactly where the multiplicity is integral
+                assert all(type(v) is int or v.denominator != 1 for m in got.values() for v in m.c.values())
+                genuine = all(not m or all(v > 0 and Fraction(v).denominator == 1 for v in m.c.values())
+                              for m in expected.values())
+                assert chi.is_genuine() == genuine, (n, kind)
+                seen[genuine] += 1
+    # both outcomes occur, non-integral positive multiplicities among them
+    assert seen[True] >= 20 and seen[False] >= 20
+    half = GradedCharacter.irreducible((1, 2)).scale(Fraction(1, 2))
+    assert not half.is_genuine()
+    assert half.schur_decomposition()[(1, 2)] == TPoly.term(0, Fraction(1, 2))

@@ -305,6 +305,48 @@ def test_tower_refuses_a_stage_without_a_second_route(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def _truncated_file(path, cells, bound):
+    doc = seq_to_json(cells_sequence(cells))
+    doc["bound"] = bound
+    doc["entries"] = [e for e in doc["entries"] if e["n"] <= bound]
+    path.write_text(json.dumps(doc))
+
+
+def test_tower_and_derivative_refuse_truncated_files(tmp_path, capsys, monkeypatch):
+    # both commands' routes need complete sequences; a truncated file made
+    # tower print its values first and then fail from deep in the library
+    outer_cells = [Cell((1,)), Cell((2,))]
+    inner_cells = [Cell((1,)), Cell((1, 1), degree=1)]
+    outer, single, inner = tmp_path / "Ft.json", tmp_path / "F1.json", tmp_path / "G.json"
+    _truncated_file(outer, outer_cells, 2)
+    _truncated_file(single, outer_cells, 1)  # one entry: looks homogeneous
+    write_seq(inner, inner_cells)
+    truncated_inner = tmp_path / "Gt.json"
+    _truncated_file(truncated_inner, inner_cells, 2)
+    complete_outer = tmp_path / "F.json"
+    write_seq(complete_outer, outer_cells)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("routes started on a truncated file")
+
+    monkeypatch.setattr(cli, "tower_values", no_work)
+    monkeypatch.setattr(cli, "summand_routes", no_work)
+    cases = [
+        (["tower", str(outer), str(inner), "--stage", "2"], outer),
+        (["tower", str(single), str(inner), "--stage", "2"], single),
+        (["derivative", str(outer), str(inner), "--partition", "1,2"], outer),
+        (["tower", str(complete_outer), str(truncated_inner), "--stage", "2"], truncated_inner),
+    ]
+    for argv, named in cases:
+        out = tmp_path / "out.json"
+        assert main(argv + ["--json-out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} is truncated at ")
+        assert f"{argv[0]} needs a complete sequence" in captured.err
+        assert not out.exists()
+
+
 def _junk_summand():
     from functorcalc.characters import GradedCharacter, induce_young
 

@@ -151,3 +151,16 @@ def test_fraction_coefficients_survive():
     g = f + f
     assert g == PSPoly({(1,): TPoly.one()})
     assert math.isclose(float(sum(Fraction(v) for v in g.c[(1,)].c.values())), 1.0)
+
+
+def test_to_character_returns_ints_and_keeps_rationals_exact():
+    rng = random.Random(19)
+    for n in range(1, 6):
+        chi = random_graded_character(rng, n)
+        back = PSPoly.from_character(chi).to_character(n)
+        assert back == chi
+        assert all(type(v) is int for val in back.values.values() for v in val.c.values())
+    third = GradedCharacter.trivial(3).scale(Fraction(1, 3))
+    back = PSPoly.from_character(third).to_character(3)
+    assert back == third
+    assert all(v == Fraction(1, 3) and type(v) is Fraction for val in back.values.values() for v in val.c.values())

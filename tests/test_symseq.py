@@ -15,6 +15,8 @@ import pytest
 
 from functorcalc.characters import GradedCharacter
 from functorcalc.exactpoly import TPoly, dims_poly
+from functorcalc.generate import random_cells
+from functorcalc.holim import cells_sequence
 from functorcalc.partitions import partitions_of, weight
 from functorcalc.symfun import RationalSeries, egf_compose
 from functorcalc.symseq import (
@@ -348,3 +350,17 @@ def test_compose_bound_semantics():
     assert first_difference(full, capped, 4) is None
     with pytest.raises(TruncationError):
         compose(SymSeq({m: chi for m, chi in A.entries.items() if m <= 2}, bound=2), B, bound=5)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_product_routes_return_int_characters(signed):
+    """Both product routes hand on int coefficients for cell inputs, so the
+    Schur certificate downstream computes on ints."""
+    rng = random.Random(311 + signed)
+    for _ in range(4):
+        A = cells_sequence(random_cells(rng, max_degree=3))
+        B = cells_sequence(random_cells(rng, max_degree=2)).reduced_part()
+        for route in (compose, compose_plethysm):
+            seq = route(A, B, signed=signed)
+            coeffs = [v for chi in seq.entries.values() for val in chi.values.values() for v in val.c.values()]
+            assert coeffs and all(type(v) is int for v in coeffs), route.__name__
