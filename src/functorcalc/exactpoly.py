@@ -127,9 +127,12 @@ class TPoly(Sparse):
         """
         if m == 1:
             return self
+        res = TPoly.__new__(TPoly)  # built in place: the trace route twists every class value
         if signed and m % 2 == 0:
-            return TPoly._wrap({m * d: (v if d % 2 == 0 else -v) for d, v in self.c.items()})
-        return TPoly._wrap({m * d: v for d, v in self.c.items()})
+            res.c = {m * d: (v if d % 2 == 0 else -v) for d, v in self.c.items()}
+        else:
+            res.c = {m * d: v for d, v in self.c.items()}
+        return res
 
     def coeff(self, degree: int) -> Scalar:
         return self.c.get(degree, 0)
@@ -191,7 +194,9 @@ class MaskPoly(Sparse):
                     out[k] = w
                 else:
                     out.pop(k, None)
-        return MaskPoly._wrap(out)
+        res = MaskPoly.__new__(MaskPoly)  # built in place: the trace route's hot path
+        res.c = out
+        return res
 
     def coeff_mask(self, mask: int) -> TPoly:
         """The t-polynomial multiplying the given exact marker product."""

@@ -113,7 +113,7 @@ def _class_table(groups: tuple[int, ...]) -> tuple[int, tuple[tuple[Partition, i
     return order, tuple(table)
 
 
-def class_sum(groups, value, image, lift):
+def class_sum(groups, value, image, lift, memo=None):
     """Cycle-index sum over the product of symmetric groups on groups[i] letters.
 
     With order = groups[0]! ... groups[r-1]!, returns
@@ -128,28 +128,66 @@ def class_sum(groups, value, image, lift):
     group i, of image(i, length).  value maps a cycle type on
     sum(groups) letters to a TPoly (zero values are skipped); lift
     carries a TPoly into the ring the images live in (TPoly, MaskPoly or
-    PSPoly), and a term stops multiplying as soon as it vanishes.
+    PSPoly).
+
+    Classes share image products, so memo maps a tuple of (i, m) pairs
+    to the product of image over it.  Per class, the product over every
+    pair but the last is read from memo (each entry built from its own
+    prefix), and the class value is read only when that head does not
+    vanish.  If the whole product is already in memo, the lifted value
+    multiplies it once; otherwise the lifted value, which is small,
+    multiplies the last image first and then the head.  The default is
+    a fresh memo per call; callers that pass the same image function to
+    several calls may share one memo across them.
 
     Class sizes are integers, so integer values and images keep every
     product in ``int``; the one division by the order, at the end, gives
     an ``int`` wherever it is exact and an exact ``Fraction`` otherwise.
     """
     order, table = _class_table(tuple(groups))
+    if memo is None:
+        memo = {}
     total = lift(TPoly.zero())
     for merged, size, parts in table:
+        full = memo.get(parts)
+        if full is None:
+            head = _image_product(parts[:-1], image, memo)
+            if head is not None and not head:
+                continue
+        elif not full:
+            continue
         val = value(merged)
         if not val:
             continue
         # integral Fraction coefficients become ints here, once per class
         scaled = {d: v.numerator * size if v.denominator == 1 else v * size for d, v in val.c.items()}
         term = lift(TPoly._wrap(scaled))  # class sizes are >= 1: no zeros
-        for i, m in parts:
-            term = term * image(i, m)
-            if not term:
-                break
-        else:  # only terms that survived every factor are added
+        if full is not None:
+            term = term * full
+        elif parts:
+            term = term * image(*parts[-1])
+            if term and head is not None:
+                term = term * head
+        if term:
             total = total + term
     return total.div_exact(order)
+
+
+def _image_product(parts, image, memo):
+    """Product of image(i, m) over the (i, m) pairs in parts, memoized by prefix; None for no pairs."""
+    if not parts:
+        return None
+    prod = memo.get(parts)
+    if prod is None:
+        head = _image_product(parts[:-1], image, memo)
+        if head is None:
+            prod = image(*parts[-1])
+        elif head:
+            prod = head * image(*parts[-1])
+        else:  # a vanishing prefix: the last image is never formed
+            prod = head
+        memo[parts] = prod
+    return prod
 
 
 def concat(p: Partition, q: Partition) -> Partition:

@@ -109,12 +109,17 @@ class InducedPow:
     def pow(self, m: int) -> MaskPoly:
         if m not in self._cache:
             total = MaskPoly.zero()
-            for k, chi in self.G.entries.items():
+            # one memo for every arity: the highest arity forms the image
+            # products whose prefixes are the lower arities' whole products
+            memo: dict = {}
+            for k in sorted(self.G.entries, reverse=True):
+                chi = self.G.entries[k]
                 total = total + class_sum(
                     (k,),
                     lambda mu: chi.values[mu].twist(m, self.signed),
                     lambda _, part: self.inner.pow(m * part),
                     MaskPoly.from_tpoly,
+                    memo,
                 )
             self._cache[m] = total
         return self._cache[m]
