@@ -68,9 +68,16 @@ def _load(path: str, loader):
 
 
 def _cells_from_file(data):
-    """A cell list, bare or under a "cells" key."""
-    if isinstance(data, dict) and "cells" in data:
-        data = data["cells"]
+    """A cell list, bare or under a "cells" key.
+
+    A sequence document that carries more than its cells (``seq_to_json``
+    with cells) is read whole first, so that every key is checked and its
+    entries must agree with its cells.
+    """
+    if isinstance(data, dict):
+        if data.keys() - {"cells"}:
+            seq_from_json(data)
+        data = data.get("cells")
     return cells_from_json(data)
 
 

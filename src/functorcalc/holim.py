@@ -758,12 +758,15 @@ def cells_to_json(cells: list[Cell]) -> list[dict]:
 
 def cells_from_json(items) -> list[Cell]:
     """Parse a cell presentation, expanding multiplicities."""
+    from .symseq import reject_unknown_keys
+
     if not isinstance(items, list):
         raise ValueError("cells must be a list of cell records")
     cells: list[Cell] = []
     for item in items:
         if not isinstance(item, dict):
             raise ValueError("each cell record must be an object")
+        reject_unknown_keys(item, ("composition", "sign", "degree", "multiplicity"), "a cell record")
         comp = item.get("composition")
         if not (isinstance(comp, list) and comp and all(isinstance(a, int) and not isinstance(a, bool) and a > 0 for a in comp)):
             raise ValueError(f"malformed composition {comp!r}")

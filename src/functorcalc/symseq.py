@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import GradedCharacter
-from .exactpoly import TPoly
+from .exactpoly import Scalar, TPoly, exact_div
 from .partitions import (
     Partition,
     block_structure,
@@ -274,17 +274,26 @@ def _scalar_to_json(a: Fraction):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _scalar_from_json(v) -> Fraction:
+def _scalar_from_json(v) -> Scalar:
+    """Exact scalar from a JSON value, by the ``exact_div`` rule: an int when integral, else a Fraction."""
     if isinstance(v, bool):
         raise ValueError("scalar values must be integers or 'p/q' strings")
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return exact_div(Fraction(v), 1)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational scalar {v!r}") from exc
     raise ValueError("scalar values must be integers or 'p/q' strings")
+
+
+def reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise ValueError naming the first key of doc that is not in known: a
+    misspelled key would otherwise read as a different input."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what} (expected {', '.join(known)})")
 
 
 def space_to_json(X: TPoly) -> dict:
@@ -296,6 +305,7 @@ def space_from_json(data) -> TPoly:
     """Parse a graded space; dimensions must be nonnegative integers."""
     if not isinstance(data, dict) or not isinstance(data.get("dims"), dict):
         raise ValueError("a graded space is {'dims': {degree: dimension}}")
+    reject_unknown_keys(data, ("dims",), "a graded space")
     coeffs: dict[int, int] = {}
     for key, val in data["dims"].items():
         try:
@@ -303,10 +313,10 @@ def space_from_json(data) -> TPoly:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"degree key {key!r} is not an integer") from exc
         dim = _scalar_from_json(val)
-        if dim.denominator != 1 or dim < 0:
+        if not isinstance(dim, int) or dim < 0:
             raise ValueError(f"dimension at degree {d} must be a nonnegative integer")
         if dim:
-            coeffs[d] = dim.numerator  # integral (checked above), stored as an int as dims_poly does
+            coeffs[d] = dim
     return TPoly(coeffs)
 
 
@@ -352,6 +362,7 @@ def seq_from_json(data) -> SymSeq:
     """
     if not isinstance(data, dict):
         raise ValueError("a sequence document must be a JSON object")
+    reject_unknown_keys(data, ("bound", "entries", "cells"), "a sequence document")
     bound = data.get("bound")
     if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int) or bound < 0):
         raise ValueError("bound must be null or a nonnegative integer")
@@ -362,6 +373,7 @@ def seq_from_json(data) -> SymSeq:
     for item in raw_entries:
         if not isinstance(item, dict):
             raise ValueError("each entry must be an object with 'n' and 'degrees'")
+        reject_unknown_keys(item, ("n", "degrees"), "an entry")
         n = item.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("entry index n must be a nonnegative integer")
@@ -378,6 +390,7 @@ def seq_from_json(data) -> SymSeq:
         for block in degrees:
             if not isinstance(block, dict):
                 raise ValueError("each degree block must be an object with 'd' and 'character'")
+            reject_unknown_keys(block, ("d", "character"), f"a degree block of entry {n}")
             d = block.get("d")
             if isinstance(d, bool) or not isinstance(d, int):
                 raise ValueError("internal degree d must be an integer")

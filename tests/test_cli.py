@@ -124,6 +124,60 @@ def test_seq_json_rejects_malformed():
             {"d": 0, "character": [[[2], 1]]}]}]})  # partition of the wrong weight
 
 
+def test_sequence_file_coefficients_load_as_ints(pair):
+    # integral JSON scalars load as ints (the exact_div rule), not as Fractions
+    fp, _, F, _ = pair
+    loaded = seq_from_json(json.loads(fp.read_text()))
+    assert loaded == F
+    coeffs = [v for chi in loaded.entries.values() for poly in chi.values.values() for v in poly.c.values()]
+    assert coeffs and all(type(v) is int for v in coeffs)
+
+
+def _misspell(doc: dict, key: str, wrong: str) -> dict:
+    """doc with every occurrence of key, at any depth, renamed to wrong."""
+    if isinstance(doc, dict):
+        return {wrong if k == key else k: _misspell(v, key, wrong) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_misspell(v, key, wrong) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("key, wrong", [("character", "characters"), ("bound", "bund"), ("sign", "signed")])
+def test_misspelled_keys_exit_two_naming_the_key(tmp_path, capsys, key, wrong):
+    # each read before as a different input: the zero sequence, a complete
+    # sequence, an unsigned cell, and the comparisons passed on it
+    cells = [Cell((1,)), Cell((1, 1), sign=True, degree=1)]
+    doc = seq_to_json(cells_sequence(cells), cells=cells if key == "sign" else None)
+    if key == "bound":
+        doc["bound"] = 3
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps(_misspell(doc, key, wrong)))
+    argv = (["tn-oracle", str(typo), "--excision-degree", "1", "--space", "0"] if key == "sign"
+            else ["compose", str(typo), str(typo)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {typo}: unknown key '{wrong}'")
+
+
+def test_loaders_reject_unknown_keys_at_every_level():
+    cells = [Cell((2, 1), degree=1)]
+    seq_doc = seq_to_json(cells_sequence(cells), cells=cells)
+    cases = [
+        (seq_from_json, {**seq_doc, "comment": 1}, "comment"),
+        (seq_from_json, {"entries": [{**seq_doc["entries"][0], "m": 3}]}, "m"),
+        (seq_from_json, {"entries": [{"n": 3, "degrees": [{**seq_doc["entries"][0]["degrees"][0], "dd": 1}]}]}, "dd"),
+        (space_from_json, {"dims": {"0": 1}, "dim": {}}, "dim"),
+        (cells_from_json, [{"composition": [1], "multiplicty": 2}], "multiplicty"),
+        (cli._cells_from_file, {"cells": seq_doc["cells"], "bounds": None}, "bounds"),
+    ]
+    for loader, doc, wrong in cases:
+        with pytest.raises(ValueError, match=f"unknown key '{wrong}'"):
+            loader(doc)
+    # a sequence document with its cells is still a cells file
+    assert cli._cells_from_file(seq_doc) == cells
+
+
 def test_json_loaders_return_or_raise_value_error():
     """JSON-shaped documents keyed by the formats' own field names: each
     loader returns or raises ValueError, the error the CLI turns into exit 2."""
