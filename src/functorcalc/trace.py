@@ -15,7 +15,12 @@ Evaluations of a sequence then have traces
 
 which is ``InducedPow(F, family, signed).pow(1)``; the same class sum
 computes pow_m of an evaluation from pow of the inputs, with the entry
-characters twisted — no induced matrices are ever formed.
+characters twisted — no induced matrices are ever formed.  The products
+prod_i pow_{m*mu_i} depend on mu only, so ``InducedPow.pow`` shares one
+``class_sum`` memo of prefix products across every arity, highest
+first: a lower arity's whole product is then often a prefix already
+formed, and the lifted class value multiplies it once; otherwise the
+value multiplies the last factor first and then the memoized prefix.
 
 Every pow is a true trace.  Traces of polynomial functors are integer
 polynomials in the eigenvalues (Macdonald, Symmetric Functions and Hall

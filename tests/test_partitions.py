@@ -277,3 +277,23 @@ def test_class_sum_keeps_rational_values_exact():
                     assert type(v) is int or v.denominator > 1
                     fractional_results += type(v) is Fraction
     assert fractional_results
+
+
+def test_class_sum_shares_one_memo_across_slot_groupings():
+    # images depend on (slot, part) only, so one memo of prefix products can
+    # serve every grouping; slot families that lack a cycle length or share
+    # markers make whole prefixes vanish
+    rng = random.Random(83)
+    spaces = [TPoly({d: rng.randrange(0, 3) for d in (0, 1, 2)}) for _ in range(5)]
+    families = [LinesPow(shape, first_marker=first)
+                for shape, first in zip(((1, 1, 2), (2, 3), (1, 1, 1), (1, 4), (1, 2)), (0, 2, 4, 1, 3))]
+    cases = [(lambda i, m, s=signed: spaces[i].twist(m, s), lambda v: v) for signed in (False, True)]
+    cases.append((lambda i, m: families[i].pow(m), MaskPoly.from_tpoly))
+    for image, lift in cases:
+        memo: dict = {}
+        for groups in slot_groupings(5):
+            values = random_class_function(rng, sum(groups))
+            got = class_sum(groups, values.__getitem__, image, lift, memo)
+            assert got == brute_class_sum(groups, values.__getitem__, image, lift)
+        assert any(len(parts) > 1 for parts in memo)
+    assert any(not prod for parts, prod in memo.items() if len(parts) > 1)

@@ -190,3 +190,26 @@ def test_base_zero_truncation_keeps_entries_above_the_window_out(signed):
         G = random_seq(rng, max_entry=5)
         for nmax in (2, 3):
             assert composite_derivatives(F, G, nmax, signed) == compose(F, G, signed=signed, bound=nmax)
+
+
+def test_trace_route_shares_image_products(monkeypatch):
+    # InducedPow.pow shares one memo of image products across the arities of
+    # its sequence; without it this pair makes many more MaskPoly products
+    from functorcalc.exactpoly import MaskPoly
+    from functorcalc.holim import Cell
+
+    F = cells_sequence([Cell((1, 1)), Cell((3,), sign=True), Cell((2, 2), degree=1), Cell((4,))])
+    G = cells_sequence([Cell((1,)), Cell((2,)), Cell((1, 2), degree=1)])
+    count = 0
+    product = MaskPoly.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return product(a, b)
+
+    monkeypatch.setattr(MaskPoly, "__mul__", counted)
+    got = composite_derivatives(F, G, 4)
+    monkeypatch.undo()
+    assert first_difference(got, compose(F, G, bound=4), 4) is None
+    assert count == 146
