@@ -5,9 +5,9 @@ import random
 import pytest
 
 from functorcalc.characters import GradedCharacter
-from functorcalc.exactpoly import dims_poly
+from functorcalc.exactpoly import MaskPoly, dims_poly
 from functorcalc.generate import random_cells
-from functorcalc.holim import cells_sequence
+from functorcalc.holim import Cell, cells_sequence
 from functorcalc.partitions import partitions_of
 from functorcalc.symseq import SymSeq, compose, evaluate, shift_base, unit_seq
 from functorcalc.trace import (
@@ -195,9 +195,6 @@ def test_base_zero_truncation_keeps_entries_above_the_window_out(signed):
 def test_trace_route_shares_image_products(monkeypatch):
     # InducedPow.pow shares one memo of image products across the arities of
     # its sequence; without it this pair makes many more MaskPoly products
-    from functorcalc.exactpoly import MaskPoly
-    from functorcalc.holim import Cell
-
     F = cells_sequence([Cell((1, 1)), Cell((3,), sign=True), Cell((2, 2), degree=1), Cell((4,))])
     G = cells_sequence([Cell((1,)), Cell((2,)), Cell((1, 2), degree=1)])
     count = 0
